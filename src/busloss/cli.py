@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,10 +25,10 @@ from .models import (
     Region,
     builtin_model,
     builtin_registry,
+    compare_models,
     is_extrapolated,
     mean_path_loss,
     model_from_dict,
-    model_to_dict,
     sample_path_loss,
     to_combined_form,
 )
@@ -40,6 +41,9 @@ EXIT_INELIGIBLE = 4
 
 # 5th/95th percentile of a unit normal.
 Z95 = 1.6449
+
+# Largest a:b:step distance grid; a larger one exits 2 before anything is allocated.
+MAX_GRID_POINTS = 1_000_000
 
 # Rounded coefficients the pooled models must reproduce: combined-form
 # slope (10*beta) and shadowing variance (sigma^2), plus alpha to 1 decimal.
@@ -55,34 +59,44 @@ class CliError(Exception):
         self.code = code
 
 
+def _load_json_object(path: str, kind: str, from_dict):
+    """Build from_dict(obj) from a JSON-object file; any failure exits 2 naming the file."""
+    p = Path(path)
+    if not p.is_file():
+        raise CliError(f"{kind} file not found: {path}")
+    try:
+        obj = json.loads(p.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise CliError(f"{path}: {kind} must be a JSON object, not {type(obj).__name__}")
+    try:
+        return from_dict(obj)
+    except KeyError as exc:
+        raise CliError(f"{path}: bad {kind} (missing field {exc})") from None
+    except ValueError as exc:
+        raise CliError(f"{path}: bad {kind} ({exc})") from None
+
+
 def _resolve_model(spec: str) -> PathLossModel:
     """A model selector: 'Region/height' for built-ins, else a JSON file path."""
-    if "/" in spec and not Path(spec).exists():
-        region_part, _, height_part = spec.partition("/")
-        try:
-            region = Region(region_part.capitalize() if region_part.lower() != "all" else "All")
-            height = HeightClass(height_part.lower())
-        except ValueError:
-            raise CliError(f"unknown built-in model selector {spec!r}") from None
-        return builtin_model(region, height)
-    path = Path(spec)
-    if not path.is_file():
-        raise CliError(f"model file not found: {spec}")
+    if Path(spec).exists():
+        return _load_json_object(spec, "model", model_from_dict)
+    region_part, _, height_part = spec.partition("/")
     try:
-        return model_from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise CliError(f"{spec}: bad model JSON ({exc})") from None
+        region = Region(region_part.capitalize() if region_part.lower() != "all" else "All")
+        height = HeightClass(height_part.lower())
+    except ValueError:
+        raise CliError(
+            f"model {spec!r} is neither a built-in selector (Region/height) nor an existing file"
+        ) from None
+    return builtin_model(region, height)
 
 
-def _load_model_file(spec: str) -> PathLossModel:
-    """Like _resolve_model but only accepts an external JSON file."""
-    path = Path(spec)
-    if not path.is_file():
-        raise CliError(f"model file not found: {spec}")
-    try:
-        return model_from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise CliError(f"{spec}: bad model JSON ({exc})") from None
+def _resolve_config(path: str | None) -> linkbudget.LinkBudgetConfig:
+    if path is None:
+        return linkbudget.LinkBudgetConfig()
+    return _load_json_object(path, "budget config", linkbudget.config_from_dict)
 
 
 def _resolve_layout(path: str | None) -> geometry.BusLayout:
@@ -102,7 +116,7 @@ def _resolve_height(name: str) -> HeightClass:
 
 
 def _parse_range(spec: str) -> np.ndarray:
-    """'a:b:step' -> inclusive distance grid."""
+    """'a:b:step' -> inclusive distance grid of at most MAX_GRID_POINTS points."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise CliError(f"distance range must be a:b:step, got {spec!r}")
@@ -110,9 +124,13 @@ def _parse_range(spec: str) -> np.ndarray:
         a, b, step = (float(p) for p in parts)
     except ValueError:
         raise CliError(f"non-numeric distance range {spec!r}") from None
-    if a <= 0 or step <= 0 or b < a:
+    # Written so that NaN fails every comparison and is rejected.
+    if not (0 < a <= b < math.inf and 0 < step < math.inf):
         raise CliError(f"invalid distance range {spec!r}")
-    n = int(round((b - a) / step)) + 1
+    # min() keeps a (b - a) / step that overflowed to inf countable.
+    n = round(min((b - a) / step, MAX_GRID_POINTS)) + 1
+    if n > MAX_GRID_POINTS:
+        raise CliError(f"distance range {spec!r} has more than {MAX_GRID_POINTS} points")
     grid = a + step * np.arange(n)
     return grid[grid <= b + 1e-9]
 
@@ -122,16 +140,6 @@ def _write_output(text: str, output: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(output).write_text(text, encoding="utf-8")
-
-
-def _read_json(path: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise CliError(f"file not found: {path}")
-    try:
-        return json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: invalid JSON ({exc})") from None
 
 
 def cmd_fit(args) -> int:
@@ -234,10 +242,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_process(args) -> int:
-    try:
-        cal = pdp.calibration_from_dict(_read_json(args.calibration))
-    except (KeyError, ValueError) as exc:
-        raise CliError(f"{args.calibration}: bad calibration ({exc})") from None
+    cal = _load_json_object(args.calibration, "calibration", pdp.calibration_from_dict)
     try:
         sets = pdp.load_measurement_dir(args.measurement_dir)
     except pdp.PdpFormatError as exc:
@@ -274,10 +279,7 @@ def cmd_synth(args) -> int:
     if args.pdp_dir is not None:
         if args.calibration is None:
             raise CliError("--pdp-dir requires --calibration")
-        try:
-            cal = pdp.calibration_from_dict(_read_json(args.calibration))
-        except (KeyError, ValueError) as exc:
-            raise CliError(f"{args.calibration}: bad calibration ({exc})") from None
+        cal = _load_json_object(args.calibration, "calibration", pdp.calibration_from_dict)
         rng = np.random.default_rng(args.seed)
         sets = []
         for seat_id, d in zip(seat_ids, distances):
@@ -307,8 +309,7 @@ def cmd_synth(args) -> int:
 def cmd_sweep(args) -> int:
     layout = _resolve_layout(args.layout)
     height = _resolve_height(args.height)
-    config = linkbudget.config_from_dict(_read_json(args.config)) if args.config \
-        else linkbudget.LinkBudgetConfig()
+    config = _resolve_config(args.config)
     reports = linkbudget.seat_sweep(
         layout, builtin_registry(), config, height, use_all_model=args.use_all_model
     )
@@ -323,17 +324,13 @@ def cmd_sweep(args) -> int:
 def cmd_footprint(args) -> int:
     layout = _resolve_layout(args.layout)
     height = _resolve_height(args.height)
-    config = linkbudget.config_from_dict(_read_json(args.config)) if args.config \
-        else linkbudget.LinkBudgetConfig()
+    config = _resolve_config(args.config)
     try:
         active = [int(s) for s in args.active.split(",") if s.strip()]
     except ValueError:
         raise CliError(f"--active must be a comma-separated id list, got {args.active!r}") from None
     if not active:
         raise CliError("--active must name at least one seat")
-    # Eligibility is part of the contract: fail fast on excluded/unknown seats.
-    for seat_id in active:
-        geometry.tx_position(layout, seat_id, height)
     summaries = linkbudget.interference_footprint(
         layout, builtin_registry(), config, active, height,
         seed=args.seed, n_draws=args.draws, use_all_model=args.use_all_model,
@@ -350,11 +347,10 @@ def cmd_footprint(args) -> int:
 
 def cmd_compare(args) -> int:
     a = _resolve_model(args.model_a)
-    b = _load_model_file(args.model_b)
+    b = _load_json_object(args.model_b, "model", model_from_dict)
     grid = _parse_range(args.distances)
     lines = ["distance_m,delta_db"]
-    for d in grid:
-        lines.append(f"{d:.4f},{mean_path_loss(a, float(d)) - mean_path_loss(b, float(d)):.4f}")
+    lines += [f"{d:.4f},{delta:.4f}" for d, delta in zip(grid, compare_models(a, b, grid))]
     _write_output("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 

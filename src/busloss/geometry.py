@@ -10,9 +10,11 @@ changes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
+from importlib import resources
 from pathlib import Path
 
 from .models import HeightClass, Region
@@ -139,39 +141,18 @@ def seats_in_group(
 
 
 def default_layout() -> BusLayout:
-    """The shipped 30-seat city-bus layout.
+    """The shipped 30-seat city-bus layout, read from data/default_layout.json.
 
-    Seven 4-seat rows plus a 2-seat rear row, numbered front to back;
-    groups A-D split the rows front to back. Coordinates are approximate.
+    That file is the only copy of the seat coordinates, groups and
+    exclusions. Each call returns a fresh BusLayout, so callers may mutate it.
     """
-    seats = []
-    row_y = (0.45, 1.00, 1.55, 2.10)
-    excluded = set(range(5, 9)) | set(range(27, 31))
-    for row in range(7):
-        x = 2.0 + 1.35 * row
-        for pos in range(4):
-            seat_id = 4 * row + pos + 1
-            group = (Region.A, Region.A, Region.B, Region.B,
-                     Region.C, Region.C, Region.D)[row]
-            seats.append(
-                SeatSpec(
-                    id=seat_id, x=x, y=row_y[pos], seat_height_m=0.5,
-                    group=group, lower_excluded=seat_id in excluded,
-                )
-            )
-    for seat_id, y in ((29, 0.80), (30, 1.75)):
-        seats.append(
-            SeatSpec(
-                id=seat_id, x=11.6, y=y, seat_height_m=0.5,
-                group=Region.D, lower_excluded=True,
-            )
-        )
-    return BusLayout(
-        length_m=12.80,
-        width_m=2.55,
-        rx=Point3(0.5, 2.55 / 2, 2.0),
-        seats=seats,
-    )
+    return layout_from_dict(_shipped_layout_dict())
+
+
+@functools.cache
+def _shipped_layout_dict() -> dict:
+    path = resources.files(__package__) / "data" / "default_layout.json"
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def layout_to_dict(layout: BusLayout) -> dict:
@@ -230,6 +211,8 @@ def load_layout(path: str | Path) -> BusLayout:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise LayoutError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise LayoutError(f"{path}: layout must be a JSON object, not {type(obj).__name__}")
     return layout_from_dict(obj)
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .models import (
     PathLossModel,
     Region,
     coverage_probability,
+    float_field,
     is_extrapolated,
     mean_path_loss,
 )
@@ -82,15 +83,14 @@ def noise_floor_dbm(config: LinkBudgetConfig) -> float:
     )
 
 
+def rx_power_dbm(config: LinkBudgetConfig, pl_db):
+    """Received power in dBm for the given path loss (a float or an array)."""
+    return config.tx_power_dbm + config.g_tx_dbi + config.g_rx_dbi - pl_db
+
+
 def link_snr(config: LinkBudgetConfig, pl_db: float) -> float:
     """SNR in dB for a link with the given path loss."""
-    return (
-        config.tx_power_dbm
-        + config.g_tx_dbi
-        + config.g_rx_dbi
-        - pl_db
-        - noise_floor_dbm(config)
-    )
+    return rx_power_dbm(config, pl_db) - noise_floor_dbm(config)
 
 
 def shannon_rate(snr_db: float, bandwidth_hz: float) -> float:
@@ -100,12 +100,19 @@ def shannon_rate(snr_db: float, bandwidth_hz: float) -> float:
     return bandwidth_hz * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
 
 
-def _select_model(
-    models: ModelMap, region: Region, height: HeightClass, use_all_model: bool
-) -> PathLossModel:
-    if use_all_model:
-        return models[(Region.ALL, height)]
-    return models[(region, height)]
+def _seat_links(
+    layout: BusLayout,
+    models: ModelMap,
+    height: HeightClass,
+    seat_ids: Sequence[int],
+    use_all_model: bool,
+) -> Iterator[tuple[int, PathLossModel, float, float]]:
+    """Yield (seat id, model, distance, mean path loss) for each seat in order."""
+    for seat_id in seat_ids:
+        region = Region.ALL if use_all_model else layout.seat(seat_id).group
+        model = models[(region, height)]
+        d = link_distance(layout, seat_id, height)
+        yield seat_id, model, d, mean_path_loss(model, d)
 
 
 def seat_sweep(
@@ -120,19 +127,10 @@ def seat_sweep(
     Coverage is the analytic probability that path loss stays below the
     budget margin implied by the SNR threshold.
     """
-    pl_max = (
-        config.tx_power_dbm
-        + config.g_tx_dbi
-        + config.g_rx_dbi
-        - noise_floor_dbm(config)
-        - config.snr_threshold_db
-    )
+    pl_max = link_snr(config, 0.0) - config.snr_threshold_db
+    seat_ids = seats_in_group(layout, Region.ALL, height)
     reports = []
-    for seat_id in seats_in_group(layout, Region.ALL, height):
-        seat = layout.seat(seat_id)
-        model = _select_model(models, seat.group, height, use_all_model)
-        d = link_distance(layout, seat_id, height)
-        pl = mean_path_loss(model, d)
+    for seat_id, model, d, pl in _seat_links(layout, models, height, seat_ids, use_all_model):
         snr = link_snr(config, pl)
         reports.append(
             SeatReport(
@@ -149,22 +147,26 @@ def seat_sweep(
     return reports
 
 
-def _link_arrays(
+def _shadowed_path_loss(
     layout: BusLayout,
     models: ModelMap,
     height: HeightClass,
     seat_ids: Sequence[int],
     use_all_model: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-link (mean path loss, sigma) arrays for the given seats."""
-    means, sigmas = [], []
-    for seat_id in seat_ids:
-        seat = layout.seat(seat_id)
-        model = _select_model(models, seat.group, height, use_all_model)
-        d = link_distance(layout, seat_id, height)
-        means.append(mean_path_loss(model, d))
-        sigmas.append(model.sigma_db)
-    return np.array(means), np.array(sigmas)
+    seed: int,
+    n_draws: int,
+) -> np.ndarray:
+    """(n_draws, len(seat_ids)) path loss: each link's mean plus independent shadowing.
+
+    Seats are resolved before n_draws is checked.
+    """
+    links = list(_seat_links(layout, models, height, seat_ids, use_all_model))
+    if n_draws < 1:
+        raise ValueError("n_draws must be >= 1")
+    means = np.array([pl for _, _, _, pl in links])
+    sigmas = np.array([model.sigma_db for _, model, _, _ in links])
+    rng = np.random.default_rng(seed)
+    return means + sigmas * rng.standard_normal((n_draws, len(links)))
 
 
 def interference_footprint(
@@ -176,31 +178,24 @@ def interference_footprint(
     seed: int,
     n_draws: int,
     use_all_model: bool = False,
-    frozen_shadowing: bool = False,
 ) -> list[FootprintSummary]:
     """Monte-Carlo SINR at the access point with all active seats transmitting.
 
-    Every active link's shadowing is drawn independently per draw (or once
-    for all draws with frozen_shadowing). All transmitters share the channel,
-    so each seat's signal competes with the sum of the others plus noise.
+    Every active link's shadowing is drawn independently per draw. All
+    transmitters share the channel, so each seat's signal competes with the
+    sum of the others plus noise. The active seats must be distinct. An
+    unknown or excluded seat raises SeatNotFoundError or ExcludedPositionError
+    before n_draws is checked.
     """
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
     if not active_seats:
         raise ValueError("need at least one active seat")
-    means, sigmas = _link_arrays(layout, models, height, active_seats, use_all_model)
-
-    rng = np.random.default_rng(seed)
-    if frozen_shadowing:
-        shadow = np.broadcast_to(
-            sigmas * rng.standard_normal(len(active_seats)), (n_draws, len(active_seats))
-        )
-    else:
-        shadow = sigmas * rng.standard_normal((n_draws, len(active_seats)))
-    pl_db = means + shadow
-
-    rx_dbm = config.tx_power_dbm + config.g_tx_dbi + config.g_rx_dbi - pl_db
-    rx_mw = 10.0 ** (rx_dbm / 10.0)
+    for i, seat_id in enumerate(active_seats):
+        if seat_id in active_seats[:i]:
+            raise ValueError(f"seat {seat_id} is listed more than once")
+    pl_db = _shadowed_path_loss(
+        layout, models, height, active_seats, use_all_model, seed, n_draws
+    )
+    rx_mw = 10.0 ** (rx_power_dbm(config, pl_db) / 10.0)
     noise_mw = 10.0 ** (noise_floor_dbm(config) / 10.0)
     total_mw = rx_mw.sum(axis=1, keepdims=True)
     sinr_db = 10.0 * np.log10(rx_mw / (noise_mw + total_mw - rx_mw))
@@ -226,33 +221,16 @@ def empirical_coverage(
     use_all_model: bool = False,
 ) -> dict[int, float]:
     """Fraction of shadowing draws whose SNR clears the threshold, per seat."""
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
     seat_ids = seats_in_group(layout, Region.ALL, height)
-    means, sigmas = _link_arrays(layout, models, height, seat_ids, use_all_model)
-
-    rng = np.random.default_rng(seed)
-    pl_db = means + sigmas * rng.standard_normal((n_draws, len(seat_ids)))
-    snr_db = (
-        config.tx_power_dbm
-        + config.g_tx_dbi
-        + config.g_rx_dbi
-        - pl_db
-        - noise_floor_dbm(config)
-    )
-    fractions = np.mean(snr_db >= config.snr_threshold_db, axis=0)
+    pl_db = _shadowed_path_loss(layout, models, height, seat_ids, use_all_model, seed, n_draws)
+    fractions = np.mean(link_snr(config, pl_db) >= config.snr_threshold_db, axis=0)
     return {seat_id: float(fractions[i]) for i, seat_id in enumerate(seat_ids)}
 
 
 def config_from_dict(obj: dict) -> LinkBudgetConfig:
-    defaults = LinkBudgetConfig()
+    """Budget config from a JSON object; absent fields take their defaults."""
     return LinkBudgetConfig(
-        tx_power_dbm=float(obj.get("tx_power_dbm", defaults.tx_power_dbm)),
-        g_tx_dbi=float(obj.get("g_tx_dbi", defaults.g_tx_dbi)),
-        g_rx_dbi=float(obj.get("g_rx_dbi", defaults.g_rx_dbi)),
-        bandwidth_hz=float(obj.get("bandwidth_hz", defaults.bandwidth_hz)),
-        noise_figure_db=float(obj.get("noise_figure_db", defaults.noise_figure_db)),
-        snr_threshold_db=float(obj.get("snr_threshold_db", defaults.snr_threshold_db)),
+        **{f.name: float_field(obj, f.name, f.default) for f in fields(LinkBudgetConfig)}
     )
 
 

@@ -205,13 +205,22 @@ def model_to_dict(model: PathLossModel) -> dict:
     }
 
 
+def float_field(obj: dict, name: str, default: float | None = None) -> float:
+    """obj[name] as a float, or default if absent; ValueError names a non-numeric field."""
+    value = obj[name] if default is None else obj.get(name, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"field {name!r} must be a number, got {value!r}") from None
+
+
 def model_from_dict(obj: dict) -> PathLossModel:
     region = obj.get("region")
     height = obj.get("height")
     return PathLossModel(
-        alpha_db=float(obj["alpha_db"]),
-        beta=float(obj["beta"]),
-        sigma_db=float(obj["sigma_db"]),
+        alpha_db=float_field(obj, "alpha_db"),
+        beta=float_field(obj, "beta"),
+        sigma_db=float_field(obj, "sigma_db"),
         region=Region(region) if region is not None else None,
         height=HeightClass(height) if height is not None else None,
     )

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import SPEED_OF_LIGHT, HeightClass
+from .models import SPEED_OF_LIGHT, HeightClass, float_field
 
 DEFAULT_NOISE_THRESHOLD_DB = 25.0  # retained window below the PDP peak
 
@@ -250,10 +250,8 @@ def write_measurement_dir(root: str | Path, sets: list[MeasurementSet]) -> None:
 
 def calibration_from_dict(obj: dict) -> LinkCalibration:
     return LinkCalibration(
-        radiated_power_db=float(obj["radiated_power_db"]),
-        g_tx_dbi=float(obj.get("g_tx_dbi", 2.0)),
-        g_rx_dbi=float(obj.get("g_rx_dbi", 2.0)),
-        noise_threshold_db=float(
-            obj.get("noise_threshold_db", DEFAULT_NOISE_THRESHOLD_DB)
-        ),
+        radiated_power_db=float_field(obj, "radiated_power_db"),
+        g_tx_dbi=float_field(obj, "g_tx_dbi", 2.0),
+        g_rx_dbi=float_field(obj, "g_rx_dbi", 2.0),
+        noise_threshold_db=float_field(obj, "noise_threshold_db", DEFAULT_NOISE_THRESHOLD_DB),
     )

@@ -1,11 +1,35 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import hashlib
 import json
 
 import pytest
 
 from busloss.cli import main
 from busloss.models import HeightClass, Region, builtin_model, model_to_dict
+
+
+OTHER_MODEL = {"alpha_db": 78.86, "beta": 2.03, "sigma_db": 2.0, "region": None, "height": None}
+
+# SHA-256 of the stdout of commands that draw no random numbers. Output bytes
+# are part of the contract, so a refactor must leave every digest unchanged.
+GOLDEN_DIGESTS = [
+    (["verify"], "1597091ee89de85b9ff0d8ddd48ba12232e49e2fb115d903fce84aae0fcd4689"),
+    (["eval", "--model", "All/upper", "--distances", "1:12:0.5"],
+     "239ccac1c3230e680e1ccc4e6057f59c6f53b25c8e8a5dcd6d65ae3625de0917"),
+    (["eval", "--model", "B/lower", "--distances", "0.25:16:0.25"],
+     "d0c0047741a0b41bd84a54f509f151f3f29a5e9af96c555c0c80de855741e21c"),
+    (["compare", "--model-a", "C/upper", "--model-b", "{other}", "--distances", "0.5:15:0.5"],
+     "453d48cd237f182fed58f7023d69f9471635bab7bfff338b2935bb386f1bef41"),
+    (["sweep", "--height", "upper"],
+     "b2f0cadd8cd30891868c043a9b17a53f584c812bceca459a4be3d42f59f44d6d"),
+    (["sweep", "--height", "lower"],
+     "bc27636020c6f34d94bc32cb810e7a4a1adcbfa41b8f4479ff9ad006866a1c6e"),
+    (["sweep", "--height", "upper", "--format", "json"],
+     "5977caf0d9865b695af334865fece8bde19e43c46edc37b96b81fe57b05492a2"),
+    (["sweep", "--height", "lower", "--format", "json"],
+     "920efa7cea5cf572ed2947acd2eefd72f4b71ec1f2ee383951767c795367fad6"),
+]
 
 
 def run(capsys, *argv):
@@ -88,6 +112,58 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--model", "All/lower", "--distances", "0.1:0.2:0.1")
         assert code == 0
         assert "extrapolat" in err
+
+    @pytest.mark.parametrize("spec", ["1:1000001:1", "1:1e30:1e-30", "1e-300:1e300:1e-300"])
+    def test_grid_over_limit_exit_2(self, capsys, spec):
+        # the point count is checked before any grid is allocated
+        code, out, err = run(capsys, "eval", "--model", "All/lower", "--distances", spec)
+        assert code == 2
+        assert out == ""
+        assert "more than 1000000 points" in err
+
+    @pytest.mark.parametrize("spec", ["1:inf:1", "nan:5:1", "1:5:nan", "1:5:inf"])
+    def test_non_finite_range_exit_2(self, capsys, spec):
+        code, _, err = run(capsys, "eval", "--model", "All/lower", "--distances", spec)
+        assert code == 2
+        assert "invalid distance range" in err
+
+    def test_missing_model_path_names_both_readings(self, capsys):
+        code, _, err = run(capsys, "eval", "--model", "data/missing.json", "--distances", "1:2:1")
+        assert code == 2
+        assert "Region/height" in err
+        assert "existing file" in err
+
+
+class TestJsonInputs:
+    @pytest.mark.parametrize("argv, content, expected", [
+        (["eval", "--model", "{f}", "--distances", "1:2:1"], "[1, 2]", "JSON object"),
+        (["eval", "--model", "{f}", "--distances", "1:2:1"],
+         '{"alpha_db": null, "beta": 2.0, "sigma_db": 1.0}', "alpha_db"),
+        (["compare", "--model-a", "All/upper", "--model-b", "{f}", "--distances", "1:2:1"],
+         '"text"', "JSON object"),
+        (["process", "{d}", "{f}"], "[]", "JSON object"),
+        (["process", "{d}", "{f}"], '{"radiated_power_db": null}', "radiated_power_db"),
+        (["synth", "--model", "All/upper", "--height", "upper", "--seed", "1",
+          "--pdp-dir", "{d}", "--calibration", "{f}"], "3", "JSON object"),
+        (["sweep", "--height", "upper", "--config", "{f}"], "[]", "JSON object"),
+        (["sweep", "--height", "upper", "--config", "{f}"], '{"tx_power_dbm": null}',
+         "tx_power_dbm"),
+        (["footprint", "--height", "upper", "--active", "14", "--seed", "1",
+          "--config", "{f}"], "null", "JSON object"),
+        (["footprint", "--height", "upper", "--active", "14", "--seed", "1",
+          "--config", "{f}"], '{"tx_power_dbm": "x"}', "tx_power_dbm"),
+        (["sweep", "--height", "upper", "--layout", "{f}"], "[]", "JSON object"),
+    ])
+    def test_malformed_file_exit_2(self, capsys, tmp_path, argv, content, expected):
+        path = tmp_path / "input.json"
+        path.write_text(content)
+        argv = [a.format(f=path, d=tmp_path / "pdp") for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert str(path) in err
+        assert expected in err
+        assert not (tmp_path / "pdp").exists()
 
 
 class TestVerify:
@@ -220,6 +296,22 @@ class TestSweepAndFootprint:
         )
         assert code == 4
 
+    def test_excluded_seat_checked_before_draws(self, capsys):
+        code, _, _ = run(
+            capsys, "footprint", "--height", "lower", "--active", "5",
+            "--seed", "1", "--draws", "0",
+        )
+        assert code == 4
+
+    def test_duplicate_active_seat_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "footprint", "--height", "upper", "--active", "14,2,14",
+            "--seed", "1", "--draws", "10",
+        )
+        assert code == 2
+        assert out == ""
+        assert "seat 14" in err
+
     def test_unknown_seat_exit_4(self, capsys):
         code, _, _ = run(
             capsys, "footprint", "--height", "upper", "--active", "99",
@@ -245,9 +337,7 @@ class TestCompare:
 
     def test_external_model(self, capsys, tmp_path):
         other = tmp_path / "other.json"
-        other.write_text(json.dumps(
-            {"alpha_db": 78.86, "beta": 2.03, "sigma_db": 2.0, "region": None, "height": None}
-        ))
+        other.write_text(json.dumps(OTHER_MODEL))
         code, out, _ = run(
             capsys, "compare", "--model-a", "All/upper", "--model-b", str(other),
             "--distances", "1:5:1",
@@ -258,6 +348,14 @@ class TestCompare:
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize("argv, digest", GOLDEN_DIGESTS)
+    def test_rng_free_output_digest(self, capsys, tmp_path, argv, digest):
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(OTHER_MODEL))
+        code, out, _ = run(capsys, *[a.format(other=other) for a in argv])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_eval_byte_identical(self, capsys):
         args = ("eval", "--model", "B/upper", "--distances", "1:12:0.5")
         _, a, _ = run(capsys, *args)

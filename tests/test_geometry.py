@@ -44,6 +44,22 @@ class TestDefaultLayout:
         ids = sorted(sum(by_group.values(), []))
         assert ids == [s.id for s in sorted(layout.seats, key=lambda s: s.id)]
 
+    def test_group_sizes(self):
+        layout = default_layout()
+        sizes = {
+            h: [len(seats_in_group(layout, r, h)) for r in (Region.A, Region.B, Region.C, Region.D)]
+            for h in HeightClass
+        }
+        assert sizes == {HeightClass.UPPER: [8, 8, 8, 6], HeightClass.LOWER: [4, 8, 8, 2]}
+
+    def test_each_call_returns_a_fresh_layout(self):
+        first = default_layout()
+        first.height_mode = "seat_relative"
+        first.seats.clear()
+        second = default_layout()
+        assert second.height_mode == "floor"
+        assert len(second.seats) == 30
+
     def test_eligible_counts(self):
         layout = default_layout()
         assert len(seats_in_group(layout, Region.ALL, HeightClass.UPPER)) == 30
@@ -139,15 +155,6 @@ class TestLayoutIo:
         save_layout(layout, path)
         back = load_layout(path)
         assert layout_to_dict(back) == layout_to_dict(layout)
-
-    def test_shipped_data_file_matches_code(self):
-        from importlib import resources
-
-        with resources.files("busloss").joinpath("data/default_layout.json").open() as f:
-            import json
-
-            shipped = layout_from_dict(json.load(f))
-        assert layout_to_dict(shipped) == layout_to_dict(default_layout())
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

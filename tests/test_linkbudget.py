@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from busloss.geometry import Point3, SeatSpec, BusLayout, default_layout, link_distance
+from busloss.geometry import (
+    BusLayout,
+    ExcludedPositionError,
+    Point3,
+    SeatSpec,
+    default_layout,
+    link_distance,
+)
 from busloss.linkbudget import (
     LinkBudgetConfig,
     empirical_coverage,
@@ -209,15 +216,19 @@ class TestInterferenceFootprint:
         for f, m in zip(few, many):
             assert f.mean_db == pytest.approx(m.mean_db, abs=1e-12)
 
-    def test_frozen_shadowing_collapses_distribution(self):
-        layout = default_layout()
-        registry = builtin_registry()
-        summaries = interference_footprint(
-            layout, registry, CONFIG, [1, 15], HeightClass.UPPER,
-            seed=5, n_draws=200, frozen_shadowing=True,
-        )
-        for s in summaries:
-            assert s.p05_db == pytest.approx(s.median_db, abs=1e-9)
+    def test_repeated_seat_rejected(self):
+        layout, models = two_seat_layout()
+        with pytest.raises(ValueError, match="seat 2 is listed more than once"):
+            interference_footprint(
+                layout, models, CONFIG, [2, 1, 2], HeightClass.UPPER, seed=0, n_draws=10
+            )
+
+    def test_seats_resolved_before_draw_count(self):
+        with pytest.raises(ExcludedPositionError):
+            interference_footprint(
+                default_layout(), builtin_registry(), CONFIG, [5], HeightClass.LOWER,
+                seed=0, n_draws=0,
+            )
 
 
 class TestEmpiricalCoverage:
