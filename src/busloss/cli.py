@@ -26,10 +26,11 @@ from .models import (
     builtin_model,
     builtin_registry,
     compare_models,
+    csv_text,
     is_extrapolated,
+    load_json_object,
     mean_path_loss,
     model_from_dict,
-    sample_path_loss,
     to_combined_form,
 )
 
@@ -59,29 +60,10 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_json_object(path: str, kind: str, from_dict):
-    """Build from_dict(obj) from a JSON-object file; any failure exits 2 naming the file."""
-    p = Path(path)
-    if not p.is_file():
-        raise CliError(f"{kind} file not found: {path}")
-    try:
-        obj = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise CliError(f"{path}: {kind} must be a JSON object, not {type(obj).__name__}")
-    try:
-        return from_dict(obj)
-    except KeyError as exc:
-        raise CliError(f"{path}: bad {kind} (missing field {exc})") from None
-    except ValueError as exc:
-        raise CliError(f"{path}: bad {kind} ({exc})") from None
-
-
 def _resolve_model(spec: str) -> PathLossModel:
     """A model selector: 'Region/height' for built-ins, else a JSON file path."""
     if Path(spec).exists():
-        return _load_json_object(spec, "model", model_from_dict)
+        return load_json_object(spec, "model", model_from_dict)
     region_part, _, height_part = spec.partition("/")
     try:
         region = Region(region_part.capitalize() if region_part.lower() != "all" else "All")
@@ -96,16 +78,11 @@ def _resolve_model(spec: str) -> PathLossModel:
 def _resolve_config(path: str | None) -> linkbudget.LinkBudgetConfig:
     if path is None:
         return linkbudget.LinkBudgetConfig()
-    return _load_json_object(path, "budget config", linkbudget.config_from_dict)
+    return load_json_object(path, "budget config", linkbudget.config_from_dict)
 
 
 def _resolve_layout(path: str | None) -> geometry.BusLayout:
-    if path is None:
-        return geometry.default_layout()
-    try:
-        return geometry.load_layout(path)
-    except FileNotFoundError:
-        raise CliError(f"layout file not found: {path}") from None
+    return geometry.default_layout() if path is None else geometry.load_layout(path)
 
 
 def _resolve_height(name: str) -> HeightClass:
@@ -142,20 +119,24 @@ def _write_output(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
+def _write_table(args, items, to_dict, to_csv) -> int:
+    """Write items as a JSON list with --format json, else as CSV."""
+    if args.format == "json":
+        text = json.dumps([to_dict(item) for item in items], indent=2) + "\n"
+    else:
+        text = to_csv(items)
+    _write_output(text, args.output)
+    return EXIT_OK
+
+
 def cmd_fit(args) -> int:
     path = Path(args.samples)
     if not path.is_file():
         raise CliError(f"sample file not found: {args.samples}")
-    try:
-        samples = fitmod.samples_from_csv(path.read_text(encoding="utf-8"), source=str(path))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    samples = fitmod.samples_from_csv(path.read_text(encoding="utf-8"), source=str(path))
 
     if args.by_group:
-        try:
-            partition = fitmod.fit_by_partition(samples)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        partition = fitmod.fit_by_partition(samples)
         if not partition.fits:
             raise CliError("no cell has enough samples to fit", EXIT_INSUFFICIENT)
         out = {
@@ -178,22 +159,20 @@ def cmd_fit(args) -> int:
 def cmd_eval(args) -> int:
     model = _resolve_model(args.model)
     grid = _parse_range(args.distances)
-    lines = ["distance_m,mean_pl_db,p05_db,p95_db"]
-    flagged = []
+    spread = Z95 * model.sigma_db
+    rows = []
     for d in grid:
         mean = mean_path_loss(model, float(d))
-        spread = Z95 * model.sigma_db
-        lines.append(f"{d:.4f},{mean:.4f},{mean - spread:.4f},{mean + spread:.4f}")
-        if is_extrapolated(d):
-            flagged.append(float(d))
+        rows.append((f"{d:.4f}", f"{mean:.4f}", f"{mean - spread:.4f}", f"{mean + spread:.4f}"))
+    flagged = sum(is_extrapolated(d) for d in grid)
     if flagged:
         lo, hi = FITTED_RANGE_M
         print(
-            f"warning: {len(flagged)} distance(s) outside the fitted range "
+            f"warning: {flagged} distance(s) outside the fitted range "
             f"({lo}-{hi} m); those rows are extrapolations",
             file=sys.stderr,
         )
-    _write_output("\n".join(lines) + "\n", args.output)
+    _write_output(csv_text(("distance_m", "mean_pl_db", "p05_db", "p95_db"), rows), args.output)
     return EXIT_OK
 
 
@@ -242,29 +221,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_process(args) -> int:
-    cal = _load_json_object(args.calibration, "calibration", pdp.calibration_from_dict)
-    try:
-        sets = pdp.load_measurement_dir(args.measurement_dir)
-    except pdp.PdpFormatError as exc:
-        raise CliError(str(exc)) from None
-
+    cal = load_json_object(args.calibration, "calibration", pdp.calibration_from_dict)
+    sets = pdp.load_measurement_dir(args.measurement_dir)
     layout = _resolve_layout(args.layout) if args.layout else None
-    distances, losses, seats, regions, heights = [], [], [], [], []
-    for mset in sets:
-        d, pl = pdp.aggregate_measurement(mset, cal)
-        distances.append(d)
-        losses.append(pl)
-        seats.append(mset.seat)
-        heights.append(mset.height)
-        if layout is not None:
-            regions.append(layout.seat(mset.seat).group)
-    samples = fitmod.SampleSet(
-        np.asarray(distances),
-        np.asarray(losses),
-        seat=seats,
-        region=regions if layout is not None else None,
-        height=heights,
-    )
+    samples = pdp.measurements_to_samples(sets, cal, layout)
     _write_output(fitmod.samples_to_csv(samples), args.output)
     return EXIT_OK
 
@@ -279,22 +239,10 @@ def cmd_synth(args) -> int:
     if args.pdp_dir is not None:
         if args.calibration is None:
             raise CliError("--pdp-dir requires --calibration")
-        cal = _load_json_object(args.calibration, "calibration", pdp.calibration_from_dict)
-        rng = np.random.default_rng(args.seed)
-        sets = []
-        for seat_id, d in zip(seat_ids, distances):
-            sweeps = []
-            for k in range(args.sweeps):
-                loss = sample_path_loss(model, d, rng)
-                delay_ns = d / pdp.SPEED_OF_LIGHT * 1e9
-                power = cal.radiated_power_db + cal.g_tx_dbi + cal.g_rx_dbi - loss
-                sweeps.append(
-                    pdp.PdpRecord(
-                        np.array([delay_ns]), np.array([power]),
-                        seat=seat_id, height=height, sweep=k,
-                    )
-                )
-            sets.append(pdp.MeasurementSet(seat=seat_id, height=height, sweeps=sweeps))
+        cal = load_json_object(args.calibration, "calibration", pdp.calibration_from_dict)
+        sets = pdp.synth_measurements(
+            model, zip(seat_ids, distances), height, cal, args.sweeps, args.seed
+        )
         pdp.write_measurement_dir(args.pdp_dir, sets)
         return EXIT_OK
 
@@ -313,12 +261,7 @@ def cmd_sweep(args) -> int:
     reports = linkbudget.seat_sweep(
         layout, builtin_registry(), config, height, use_all_model=args.use_all_model
     )
-    if args.format == "json":
-        text = json.dumps([linkbudget.report_to_dict(r) for r in reports], indent=2) + "\n"
-    else:
-        text = linkbudget.reports_to_csv(reports)
-    _write_output(text, args.output)
-    return EXIT_OK
+    return _write_table(args, reports, linkbudget.report_to_dict, linkbudget.reports_to_csv)
 
 
 def cmd_footprint(args) -> int:
@@ -335,23 +278,15 @@ def cmd_footprint(args) -> int:
         layout, builtin_registry(), config, active, height,
         seed=args.seed, n_draws=args.draws, use_all_model=args.use_all_model,
     )
-    if args.format == "json":
-        text = json.dumps(
-            [linkbudget.footprint_to_dict(s) for s in summaries], indent=2
-        ) + "\n"
-    else:
-        text = linkbudget.footprint_to_csv(summaries)
-    _write_output(text, args.output)
-    return EXIT_OK
+    return _write_table(args, summaries, linkbudget.footprint_to_dict, linkbudget.footprint_to_csv)
 
 
 def cmd_compare(args) -> int:
     a = _resolve_model(args.model_a)
-    b = _load_json_object(args.model_b, "model", model_from_dict)
+    b = load_json_object(args.model_b, "model", model_from_dict)
     grid = _parse_range(args.distances)
-    lines = ["distance_m,delta_db"]
-    lines += [f"{d:.4f},{delta:.4f}" for d, delta in zip(grid, compare_models(a, b, grid))]
-    _write_output("\n".join(lines) + "\n", args.output)
+    rows = [(f"{d:.4f}", f"{delta:.4f}") for d, delta in zip(grid, compare_models(a, b, grid))]
+    _write_output(csv_text(("distance_m", "delta_db"), rows), args.output)
     return EXIT_OK
 
 
@@ -362,32 +297,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, layout=True):
+    def add_common(p, func, layout=True):
         p.add_argument("--output", "-o", default=None, help="output file (default stdout)")
         if layout:
             p.add_argument("--layout", default=None, help="layout JSON (default: shipped layout)")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("fit", help="fit (alpha, beta, sigma) from a sample CSV")
     p.add_argument("samples", help="sample CSV file")
     p.add_argument("--by-group", action="store_true", help="fit per (region, height) cell")
-    add_common(p, layout=False)
-    p.set_defaults(func=cmd_fit)
+    add_common(p, cmd_fit, layout=False)
 
     p = sub.add_parser("eval", help="export a path loss curve as CSV")
     p.add_argument("--model", required=True, help="'Region/height' or model JSON file")
     p.add_argument("--distances", required=True, help="range a:b:step in metres")
-    add_common(p, layout=False)
-    p.set_defaults(func=cmd_eval)
+    add_common(p, cmd_eval, layout=False)
 
     p = sub.add_parser("verify", help="check registry against rounded coefficients")
-    add_common(p, layout=False)
-    p.set_defaults(func=cmd_verify)
+    add_common(p, cmd_verify, layout=False)
 
     p = sub.add_parser("process", help="reduce a measurement directory to samples CSV")
     p.add_argument("measurement_dir", help="directory of <seat>_<height> sweep sets")
     p.add_argument("calibration", help="calibration JSON")
-    add_common(p)
-    p.set_defaults(func=cmd_process)
+    add_common(p, cmd_process)
 
     p = sub.add_parser("synth", help="generate synthetic samples or a PDP directory")
     p.add_argument("--model", required=True, help="'Region/height' or model JSON file")
@@ -396,16 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pdp-dir", default=None, help="write a PDP measurement directory here")
     p.add_argument("--calibration", default=None, help="calibration JSON (for --pdp-dir)")
     p.add_argument("--sweeps", type=int, default=10, help="sweeps per seat (default 10)")
-    add_common(p)
-    p.set_defaults(func=cmd_synth)
+    add_common(p, cmd_synth)
 
     p = sub.add_parser("sweep", help="per-seat link budget report")
     p.add_argument("--height", required=True, help="lower or upper")
     p.add_argument("--config", default=None, help="budget config JSON")
     p.add_argument("--use-all-model", action="store_true", help="use the pooled model for every seat")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_common(p)
-    p.set_defaults(func=cmd_sweep)
+    add_common(p, cmd_sweep)
 
     p = sub.add_parser("footprint", help="Monte-Carlo SINR with multiple transmitters")
     p.add_argument("--height", required=True, help="lower or upper")
@@ -415,15 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="budget config JSON")
     p.add_argument("--use-all-model", action="store_true")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_common(p)
-    p.set_defaults(func=cmd_footprint)
+    add_common(p, cmd_footprint)
 
     p = sub.add_parser("compare", help="mean path loss difference against an external model")
     p.add_argument("--model-a", required=True, help="'Region/height' or model JSON file")
     p.add_argument("--model-b", required=True, help="external model JSON file")
     p.add_argument("--distances", required=True, help="range a:b:step in metres")
-    add_common(p, layout=False)
-    p.set_defaults(func=cmd_compare)
+    add_common(p, cmd_compare, layout=False)
 
     return parser
 

@@ -11,11 +11,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .models import HeightClass, PathLossModel, Region
+from .models import HeightClass, PathLossModel, Region, csv_text, model_to_dict
 
 
 class InsufficientDataError(ValueError):
@@ -51,17 +51,6 @@ class SampleSet:
     def __len__(self) -> int:
         return len(self.distance_m)
 
-    def subset(self, mask: np.ndarray) -> "SampleSet":
-        idx = np.flatnonzero(mask)
-        pick = lambda tags: [tags[i] for i in idx] if tags is not None else None
-        return SampleSet(
-            self.distance_m[idx],
-            self.path_loss_db[idx],
-            seat=pick(self.seat),
-            region=pick(self.region),
-            height=pick(self.height),
-        )
-
 
 @dataclass
 class FitResult:
@@ -74,12 +63,8 @@ class FitResult:
 
 
 def _uniform_tag(tags):
-    if tags is None:
-        return None
-    values = {t for t in tags}
-    if len(values) == 1:
-        return values.pop()
-    return None
+    values = set(tags or ())
+    return values.pop() if len(values) == 1 else None
 
 
 def fit_log_distance(
@@ -132,30 +117,20 @@ def fit_by_partition(samples: SampleSet) -> PartitionFit:
         raise ValueError("samples must carry region and height tags")
 
     result = PartitionFit()
-    regions = np.array([r.value if r is not None else "" for r in samples.region])
-    heights = np.array([h.value if h is not None else "" for h in samples.height])
+    regions = np.array(samples.region, dtype=object)
+    heights = np.array(samples.height, dtype=object)
     for h in HeightClass:
-        height_mask = heights == h.value
-        for r in (Region.A, Region.B, Region.C, Region.D):
-            mask = height_mask & (regions == r.value)
-            n = int(mask.sum())
+        in_height = heights == h
+        for r in Region:
+            mask = in_height if r == Region.ALL else in_height & (regions == r)
+            n = int(np.count_nonzero(mask))
             if n == 0:
                 continue
+            cell = SampleSet(samples.distance_m[mask], samples.path_loss_db[mask])
             try:
-                result.fits[(r, h)] = fit_log_distance(
-                    samples.subset(mask), region=r, height=h
-                )
+                result.fits[(r, h)] = fit_log_distance(cell, region=r, height=h)
             except (InsufficientDataError, DegenerateDataError):
                 result.skipped.append((r, h, n))
-        n_all = int(height_mask.sum())
-        if n_all == 0:
-            continue
-        try:
-            result.fits[(Region.ALL, h)] = fit_log_distance(
-                samples.subset(height_mask), region=Region.ALL, height=h
-            )
-        except (InsufficientDataError, DegenerateDataError):
-            result.skipped.append((Region.ALL, h, n_all))
     return result
 
 
@@ -178,33 +153,19 @@ def synth_samples(
     )
 
 
-SAMPLE_CSV_FIELDS = ("distance_m", "path_loss_db", "seat", "region", "height")
-
-
 def samples_to_csv(samples: SampleSet) -> str:
     """Serialize to the sample CSV schema; tag columns appear only when present."""
-    fields = ["distance_m", "path_loss_db"]
+    header = ["distance_m", "path_loss_db"]
+    columns = [map(repr, samples.distance_m.tolist()), map(repr, samples.path_loss_db.tolist())]
     if samples.seat is not None:
-        fields.append("seat")
-    if samples.region is not None:
-        fields.append("region")
-    if samples.height is not None:
-        fields.append("height")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    for i in range(len(samples)):
-        row = [repr(float(samples.distance_m[i])), repr(float(samples.path_loss_db[i]))]
-        if samples.seat is not None:
-            row.append("" if samples.seat[i] is None else str(samples.seat[i]))
-        if samples.region is not None:
-            r = samples.region[i]
-            row.append("" if r is None else r.value)
-        if samples.height is not None:
-            h = samples.height[i]
-            row.append("" if h is None else h.value)
-        writer.writerow(row)
-    return buf.getvalue()
+        header.append("seat")
+        columns.append(["" if s is None else str(s) for s in samples.seat])
+    for name in ("region", "height"):
+        tags = getattr(samples, name)
+        if tags is not None:
+            header.append(name)
+            columns.append(["" if t is None else t.value for t in tags])
+    return csv_text(header, zip(*columns))
 
 
 def samples_from_csv(text: str, source: str = "<string>") -> SampleSet:
@@ -229,7 +190,7 @@ def samples_from_csv(text: str, source: str = "<string>") -> SampleSet:
     regions = [] if "region" in col_index else None
     heights = [] if "height" in col_index else None
     for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
+        if not "".join(row).strip():  # blank or whitespace-only row
             continue
         if len(row) != len(header):
             raise ValueError(f"{source}:{lineno}: expected {len(header)} columns")
@@ -240,6 +201,8 @@ def samples_from_csv(text: str, source: str = "<string>") -> SampleSet:
             raise ValueError(f"{source}:{lineno}: non-numeric value") from None
         if not math.isfinite(d) or d <= 0:
             raise ValueError(f"{source}:{lineno}: distance must be > 0")
+        if not math.isfinite(pl):
+            raise ValueError(f"{source}:{lineno}: path loss must be finite")
         distances.append(d)
         losses.append(pl)
         try:
@@ -261,8 +224,6 @@ def samples_from_csv(text: str, source: str = "<string>") -> SampleSet:
 
 
 def fit_result_to_dict(result: FitResult) -> dict:
-    from .models import model_to_dict
-
     out = model_to_dict(result.model)
     out["r_squared"] = result.r_squared
     out["n"] = result.n

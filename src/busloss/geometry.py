@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .models import HeightClass, Region
+from .models import HeightClass, Region, float_field, load_json_object
 
 DEFAULT_UPPER_HEIGHT_M = 1.2
 DEFAULT_LOWER_HEIGHT_M = 0.7
@@ -25,6 +25,9 @@ DEFAULT_LOWER_HEIGHT_M = 0.7
 SEAT_RELATIVE_UPPER_OFFSET_M = 0.7
 
 HEIGHT_MODES = ("floor", "seat_relative")
+
+# Bound on every dimension and height; it keeps squared distances finite.
+MAX_EXTENT_M = 1000.0
 
 
 class LayoutError(ValueError):
@@ -74,10 +77,16 @@ class BusLayout:
 
     def __post_init__(self) -> None:
         problems = []
-        if not self.length_m > 0:
-            problems.append("length_m must be > 0")
-        if not self.width_m > 0:
-            problems.append("width_m must be > 0")
+        if not 0 < self.length_m <= MAX_EXTENT_M:
+            problems.append(f"length_m must be > 0 and <= {MAX_EXTENT_M}")
+        if not 0 < self.width_m <= MAX_EXTENT_M:
+            problems.append(f"width_m must be > 0 and <= {MAX_EXTENT_M}")
+        heights = [("rx z", self.rx.z), ("upper_height_m", self.upper_height_m),
+                   ("lower_height_m", self.lower_height_m)]
+        heights += [(f"seat {seat.id} seat_height_m", seat.seat_height_m) for seat in self.seats]
+        for name, z in heights:
+            if not 0 <= z <= MAX_EXTENT_M:
+                problems.append(f"{name} must lie in [0, {MAX_EXTENT_M}] m")
         if self.height_mode not in HEIGHT_MODES:
             problems.append(f"height_mode must be one of {HEIGHT_MODES}")
         if self.length_m > 0 and self.width_m > 0:
@@ -177,14 +186,22 @@ def layout_to_dict(layout: BusLayout) -> dict:
     }
 
 
+def _seat_id(seat: dict) -> int:
+    value = float_field(seat, "id")
+    if not value.is_integer():
+        raise ValueError(f"field 'id' must be an integer, got {seat['id']!r}")
+    return int(value)
+
+
 def layout_from_dict(obj: dict) -> BusLayout:
+    """Build a layout; every number is read with float_field, which names a bad field."""
     try:
         seats = [
             SeatSpec(
-                id=int(s["id"]),
-                x=float(s["x"]),
-                y=float(s["y"]),
-                seat_height_m=float(s.get("seat_height_m", 0.5)),
+                id=_seat_id(s),
+                x=float_field(s, "x"),
+                y=float_field(s, "y"),
+                seat_height_m=float_field(s, "seat_height_m", 0.5),
                 group=Region(s["group"]),
                 lower_excluded=bool(s.get("lower_excluded", False)),
             )
@@ -192,28 +209,23 @@ def layout_from_dict(obj: dict) -> BusLayout:
         ]
         rx = obj["rx"]
         return BusLayout(
-            length_m=float(obj["length_m"]),
-            width_m=float(obj["width_m"]),
-            rx=Point3(float(rx["x"]), float(rx["y"]), float(rx["z"])),
+            length_m=float_field(obj, "length_m"),
+            width_m=float_field(obj, "width_m"),
+            rx=Point3(float_field(rx, "x"), float_field(rx, "y"), float_field(rx, "z")),
             seats=seats,
-            upper_height_m=float(obj.get("upper_height_m", DEFAULT_UPPER_HEIGHT_M)),
-            lower_height_m=float(obj.get("lower_height_m", DEFAULT_LOWER_HEIGHT_M)),
+            upper_height_m=float_field(obj, "upper_height_m", DEFAULT_UPPER_HEIGHT_M),
+            lower_height_m=float_field(obj, "lower_height_m", DEFAULT_LOWER_HEIGHT_M),
             height_mode=str(obj.get("height_mode", "floor")),
         )
-    except (KeyError, TypeError) as exc:
-        raise LayoutError(f"bad layout config: {exc}") from None
+    except KeyError as exc:
+        raise LayoutError(f"missing field {exc}") from None
+    except TypeError as exc:
+        raise LayoutError(f"a field has the wrong type: {exc}") from None
 
 
 def load_layout(path: str | Path) -> BusLayout:
-    """Load and validate a layout JSON file."""
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise LayoutError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise LayoutError(f"{path}: layout must be a JSON object, not {type(obj).__name__}")
-    return layout_from_dict(obj)
+    """Load and validate a layout JSON file; every failure is a LayoutError naming the file."""
+    return load_json_object(path, "layout", layout_from_dict, LayoutError)
 
 
 def save_layout(layout: BusLayout, path: str | Path) -> None:

@@ -7,8 +7,6 @@ power combining happens in linear watts; only the reported figures are dB.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, fields
 from typing import Iterator, Mapping, Sequence
@@ -21,12 +19,17 @@ from .models import (
     PathLossModel,
     Region,
     coverage_probability,
+    csv_text,
     float_field,
     is_extrapolated,
     mean_path_loss,
 )
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0  # 290 K reference
+
+# Most shadowing values (draws x links) one Monte-Carlo call may hold: about
+# 400 MB per float64 array of that size.
+MAX_DRAW_LINKS = 50_000_000
 
 ModelMap = Mapping[tuple[Region, HeightClass], PathLossModel]
 
@@ -44,6 +47,11 @@ class LinkBudgetConfig:
     snr_threshold_db: float = 5.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # An infinite threshold is meaningful: every link, or none, clears it.
+            if math.isnan(value) or (math.isinf(value) and f.name != "snr_threshold_db"):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth_hz must be > 0")
         if self.noise_figure_db < 0:
@@ -97,7 +105,10 @@ def shannon_rate(snr_db: float, bandwidth_hz: float) -> float:
     """Shannon capacity in bit/s."""
     if not bandwidth_hz > 0:
         raise ValueError("bandwidth_hz must be > 0")
-    return bandwidth_hz * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
+    try:
+        return bandwidth_hz * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
+    except OverflowError:  # snr_db above ~3083 dB, where the 1 is negligible
+        return bandwidth_hz * snr_db / 10.0 * math.log2(10.0)
 
 
 def _seat_links(
@@ -158,11 +169,14 @@ def _shadowed_path_loss(
 ) -> np.ndarray:
     """(n_draws, len(seat_ids)) path loss: each link's mean plus independent shadowing.
 
-    Seats are resolved before n_draws is checked.
+    Seats are resolved before n_draws is checked; n_draws * len(seat_ids) may
+    be at most MAX_DRAW_LINKS.
     """
     links = list(_seat_links(layout, models, height, seat_ids, use_all_model))
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
+    if n_draws * len(links) > MAX_DRAW_LINKS:
+        raise ValueError(f"{n_draws} draws x {len(links)} links is over {MAX_DRAW_LINKS}")
     means = np.array([pl for _, _, _, pl in links])
     sigmas = np.array([model.sigma_db for _, model, _, _ in links])
     rng = np.random.default_rng(seed)
@@ -236,24 +250,13 @@ def config_from_dict(obj: dict) -> LinkBudgetConfig:
 
 def reports_to_csv(reports: Sequence[SeatReport]) -> str:
     """Seat sweep CSV: seat,height,distance_m,mean_pl_db,snr_db,rate_bps,coverage."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["seat", "height", "distance_m", "mean_pl_db", "snr_db", "rate_bps", "coverage"]
+    rows = (
+        (str(r.seat_id), r.height.value, f"{r.distance_m:.4f}", f"{r.mean_pl_db:.4f}",
+         f"{r.snr_db:.4f}", f"{r.rate_bps:.1f}", f"{r.coverage_prob:.6f}")
+        for r in reports
     )
-    for r in reports:
-        writer.writerow(
-            [
-                r.seat_id,
-                r.height.value,
-                f"{r.distance_m:.4f}",
-                f"{r.mean_pl_db:.4f}",
-                f"{r.snr_db:.4f}",
-                f"{r.rate_bps:.1f}",
-                f"{r.coverage_prob:.6f}",
-            ]
-        )
-    return buf.getvalue()
+    header = ("seat", "height", "distance_m", "mean_pl_db", "snr_db", "rate_bps", "coverage")
+    return csv_text(header, rows)
 
 
 def report_to_dict(r: SeatReport) -> dict:
@@ -271,14 +274,11 @@ def report_to_dict(r: SeatReport) -> dict:
 
 def footprint_to_csv(summaries: Sequence[FootprintSummary]) -> str:
     """Footprint CSV with percentile columns."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["seat", "sinr_mean_db", "sinr_median_db", "sinr_p05_db"])
-    for s in summaries:
-        writer.writerow(
-            [s.seat_id, f"{s.mean_db:.4f}", f"{s.median_db:.4f}", f"{s.p05_db:.4f}"]
-        )
-    return buf.getvalue()
+    rows = (
+        (str(s.seat_id), f"{s.mean_db:.4f}", f"{s.median_db:.4f}", f"{s.p05_db:.4f}")
+        for s in summaries
+    )
+    return csv_text(("seat", "sinr_mean_db", "sinr_median_db", "sinr_p05_db"), rows)
 
 
 def footprint_to_dict(s: FootprintSummary) -> dict:

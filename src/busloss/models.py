@@ -3,7 +3,8 @@
 The model is L(d) = alpha + 10*beta*log10(d) + X, where X is a zero-mean
 Gaussian shadow-fading term with standard deviation sigma (all in dB).
 Ten fitted parameter sets ship with the package, one per seat region
-(A-D plus the pooled "All" set) and transmitter height class.
+(A-D plus the pooled "All" set) and transmitter height class. The input and
+output rules every module shares (float_field, load_json_object, csv_text) live here.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -206,12 +208,40 @@ def model_to_dict(model: PathLossModel) -> dict:
 
 
 def float_field(obj: dict, name: str, default: float | None = None) -> float:
-    """obj[name] as a float, or default if absent; ValueError names a non-numeric field."""
+    """obj[name] as a float, or default if absent; ValueError names a non-numeric or NaN field."""
     value = obj[name] if default is None else obj.get(name, default)
     try:
-        return float(value)
-    except (TypeError, ValueError):
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"field {name!r} must be a number, got {value!r}") from None
+    if math.isnan(number):
+        raise ValueError(f"field {name!r} must be a number, got {value!r}")
+    return number
+
+
+def load_json_object(path: str | Path, kind: str, from_dict, error=ValueError):
+    """from_dict(obj) for the JSON object in a file. Every failure (no such file,
+    invalid JSON, not an object, a missing or bad field) raises error naming the file."""
+    p = Path(path)
+    if not p.is_file():
+        raise error(f"{kind} file not found: {path}")
+    try:
+        obj = json.loads(p.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise error(f"{path}: {kind} must be a JSON object, not {type(obj).__name__}")
+    try:
+        return from_dict(obj)
+    except KeyError as exc:
+        raise error(f"{path}: bad {kind} (missing field {exc})") from None
+    except ValueError as exc:
+        raise error(f"{path}: bad {kind} ({exc})") from None
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """CSV with a header line and "\n" line ends; no cell may need quoting."""
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 def model_from_dict(obj: dict) -> PathLossModel:

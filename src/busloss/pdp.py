@@ -16,12 +16,25 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .models import SPEED_OF_LIGHT, HeightClass, float_field
+from .fit import SampleSet
+from .geometry import BusLayout
+from .models import (
+    SPEED_OF_LIGHT,
+    HeightClass,
+    PathLossModel,
+    csv_text,
+    float_field,
+    sample_path_loss,
+)
 
 DEFAULT_NOISE_THRESHOLD_DB = 25.0  # retained window below the PDP peak
+
+# Most sweeps per position synth_measurements writes; the measured system took ten.
+MAX_SWEEPS = 1000
 
 
 class PdpFormatError(ValueError):
@@ -134,16 +147,49 @@ def aggregate_measurement(
     return distance, path_loss_from_power(cal, mean_rx_db)
 
 
+def measurements_to_samples(
+    sets: Sequence[MeasurementSet], cal: LinkCalibration, layout: BusLayout | None = None
+) -> SampleSet:
+    """One (distance, path loss) sample per set, tagged with seat and height,
+    and with the seat's region when a layout is given."""
+    pairs = np.array([aggregate_measurement(mset, cal) for mset in sets]).reshape(-1, 2)
+    return SampleSet(
+        pairs[:, 0],
+        pairs[:, 1],
+        seat=[mset.seat for mset in sets],
+        region=None if layout is None else [layout.seat(mset.seat).group for mset in sets],
+        height=[mset.height for mset in sets],
+    )
+
+
+def synth_measurements(
+    model: PathLossModel, links: Iterable[tuple[int, float]], height: HeightClass,
+    cal: LinkCalibration, n_sweeps: int, seed: int,
+) -> list[MeasurementSet]:
+    """n_sweeps one-bin sweeps per (seat, distance) link: the bin sits at the
+    direct-path delay, and its power reduces through cal to a fresh model draw."""
+    if not 1 <= n_sweeps <= MAX_SWEEPS:
+        raise ValueError(f"n_sweeps must be between 1 and {MAX_SWEEPS}, got {n_sweeps}")
+    rng = np.random.default_rng(seed)
+    sets = []
+    for seat_id, d in links:
+        delay_ns = d / SPEED_OF_LIGHT * 1e9
+        sweeps = []
+        for k in range(n_sweeps):
+            loss = sample_path_loss(model, d, rng)
+            power = cal.radiated_power_db + cal.g_tx_dbi + cal.g_rx_dbi - loss
+            sweeps.append(PdpRecord([delay_ns], [power], seat=seat_id, height=height, sweep=k))
+        sets.append(MeasurementSet(seat=seat_id, height=height, sweeps=sweeps))
+    return sets
+
+
 PDP_CSV_HEADER = ("delay_ns", "power_db")
 
 
 def pdp_to_csv(pdp: PdpRecord) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PDP_CSV_HEADER)
-    for delay, power in zip(pdp.delays_ns, pdp.powers_db):
-        writer.writerow([repr(float(delay)), repr(float(power))])
-    return buf.getvalue()
+    return csv_text(
+        PDP_CSV_HEADER, zip(map(repr, pdp.delays_ns.tolist()), map(repr, pdp.powers_db.tolist()))
+    )
 
 
 def load_pdp_csv(
@@ -163,7 +209,7 @@ def load_pdp_csv(
         raise PdpFormatError(f"{path}:1: header must be delay_ns,power_db")
     delays, powers = [], []
     for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
+        if not "".join(row).strip():  # blank or whitespace-only row
             continue
         if len(row) != 2:
             raise PdpFormatError(f"{path}:{lineno}: expected 2 columns")
@@ -172,6 +218,8 @@ def load_pdp_csv(
             power = float(row[1])
         except ValueError:
             raise PdpFormatError(f"{path}:{lineno}: non-numeric value") from None
+        if not (math.isfinite(delay) and math.isfinite(power)):
+            raise PdpFormatError(f"{path}:{lineno}: values must be finite")
         if delays and delay <= delays[-1]:
             raise PdpFormatError(f"{path}:{lineno}: delays must strictly increase")
         delays.append(delay)
@@ -211,7 +259,7 @@ def load_measurement_dir(root: str | Path) -> list[MeasurementSet]:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
             seat = int(meta["seat"])
             height = HeightClass(meta["height"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise PdpFormatError(f"{meta_path}: bad metadata ({exc})") from None
         if seat != seat_from_name or height != height_from_name:
             raise PdpFormatError(f"{meta_path}: metadata disagrees with directory name")

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from busloss.cli import main
+from busloss.geometry import default_layout, layout_to_dict
 from busloss.models import HeightClass, Region, builtin_model, model_to_dict
 
 
@@ -81,6 +82,15 @@ class TestFit:
         code, _, err = run(capsys, "fit", str(path))
         assert code == 2
         assert ":3:" in err
+
+    @pytest.mark.parametrize("by_group", [[], ["--by-group"]])
+    def test_non_finite_path_loss_names_line(self, capsys, tmp_path, by_group):
+        path = tmp_path / "bad.csv"
+        path.write_text("distance_m,path_loss_db\n1.0,85.0\n2.0,90.0\n3.0,nan\n4.0,96.0\n")
+        code, out, err = run(capsys, "fit", str(path), *by_group)
+        assert code == 2
+        assert out == ""
+        assert f"{path}:4: path loss must be finite" in err
 
 
 class TestEval:
@@ -164,6 +174,31 @@ class TestJsonInputs:
         assert str(path) in err
         assert expected in err
         assert not (tmp_path / "pdp").exists()
+
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--height", "upper"],
+        ["footprint", "--height", "upper", "--active", "14", "--seed", "1", "--draws", "10"],
+    ])
+    def test_nan_budget_field_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "budget.json"
+        path.write_text('{"tx_power_dbm": NaN}')
+        code, out, err = run(capsys, *argv, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert str(path) in err
+        assert "tx_power_dbm" in err
+
+    def test_layout_text_number_names_file_and_field(self, capsys, tmp_path):
+        path = tmp_path / "layout.json"
+        obj = layout_to_dict(default_layout())
+        obj["seats"][3]["x"] = "a"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "sweep", "--height", "upper", "--layout", str(path))
+        assert code == 2
+        assert out == ""
+        assert str(path) in err
+        assert "field 'x'" in err
 
 
 class TestVerify:
@@ -250,6 +285,19 @@ class TestSynth:
         _, out_b, _ = run(capsys, "synth", "--model", "All/upper", "--height", "upper", "--seed", "5")
         assert out_a == out_b
 
+    @pytest.mark.parametrize("sweeps", ["0", "-1", "1001"])
+    def test_sweep_count_out_of_range_exit_2(self, capsys, tmp_path, sweeps):
+        cal = tmp_path / "cal.json"
+        cal.write_text('{"radiated_power_db": 0.0}')
+        code, out, err = run(
+            capsys, "synth", "--model", "All/upper", "--height", "upper", "--seed", "1",
+            "--pdp-dir", str(tmp_path / "pdp"), "--calibration", str(cal), "--sweeps", sweeps,
+        )
+        assert code == 2
+        assert out == ""
+        assert "n_sweeps must be between 1 and 1000" in err
+        assert not (tmp_path / "pdp").exists()
+
     def test_lower_omits_excluded_seats(self, capsys):
         _, out, _ = run(capsys, "synth", "--model", "All/lower", "--height", "lower", "--seed", "1")
         rows = out.strip().splitlines()[1:]
@@ -311,6 +359,23 @@ class TestSweepAndFootprint:
         assert code == 2
         assert out == ""
         assert "seat 14" in err
+
+    def test_draws_over_limit_exit_2(self, capsys):
+        # 10^11 draws x 2 links is rejected by arithmetic before anything is allocated
+        code, out, err = run(
+            capsys, "footprint", "--height", "upper", "--active", "1,2",
+            "--seed", "1", "--draws", "100000000000",
+        )
+        assert code == 2
+        assert out == ""
+        assert "100000000000 draws x 2 links is over 50000000" in err
+
+    def test_excluded_seat_checked_before_draw_limit(self, capsys):
+        code, _, _ = run(
+            capsys, "footprint", "--height", "lower", "--active", "5",
+            "--seed", "1", "--draws", "100000000000",
+        )
+        assert code == 4
 
     def test_unknown_seat_exit_4(self, capsys):
         code, _, _ = run(

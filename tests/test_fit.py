@@ -138,6 +138,31 @@ class TestFitByPartition:
         samples = SampleSet(np.array([]), np.array([]), region=[], height=[])
         assert fit_by_partition(samples).fits == {}
 
+    def test_matches_per_cell_reference(self):
+        # Reference: each cell fitted on the samples picked out by a plain loop.
+        rng = np.random.default_rng(4)
+        n = 400
+        regions = [None, Region.A, Region.B, Region.C, Region.D]
+        heights = [None, HeightClass.LOWER, HeightClass.UPPER]
+        region = [regions[i] for i in rng.integers(len(regions), size=n)]
+        height = [heights[i] for i in rng.integers(len(heights), size=n)]
+        samples = SampleSet(rng.uniform(1, 12, n), rng.normal(95, 3, n),
+                            region=region, height=height)
+        result = fit_by_partition(samples)
+        expected = []
+        for h in HeightClass:
+            for r in Region:
+                idx = [i for i in range(n)
+                       if height[i] is h and (r is Region.ALL or region[i] is r)]
+                ref = fit_log_distance(
+                    SampleSet(samples.distance_m[idx], samples.path_loss_db[idx]),
+                    region=r, height=h,
+                )
+                assert result.fits[(r, h)].model == ref.model
+                expected.append((r, h))
+        assert list(result.fits) == expected
+        assert result.skipped == []
+
     def test_small_cell_skipped(self):
         samples = SampleSet(
             np.array([1.0, 2.0]),
@@ -209,6 +234,18 @@ class TestSampleCsv:
         with pytest.raises(ValueError, match=":3:"):
             samples_from_csv(text, source="x.csv")
 
+    def test_blank_rows_skipped(self):
+        text = "distance_m,path_loss_db,seat\n1.0,85.0,3\n\n , ,\n2.0,90.0,\n"
+        samples = samples_from_csv(text)
+        assert samples.path_loss_db.tolist() == [85.0, 90.0]
+        assert samples.seat == [3, None]
+
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(ValueError, match=":2:"):
             samples_from_csv("distance_m,path_loss_db\n-1.0,85.0\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_path_loss_names_line(self, value):
+        text = f"distance_m,path_loss_db\n1.0,85.0\n2.0,{value}\n3.0,95.0\n"
+        with pytest.raises(ValueError, match="x.csv:3: path loss must be finite"):
+            samples_from_csv(text, source="x.csv")

@@ -1,5 +1,6 @@
 """Tests for the bus layout, seat groups and link distances."""
 
+import json
 import math
 
 import pytest
@@ -165,3 +166,43 @@ class TestLayoutIo:
     def test_missing_field_rejected(self):
         with pytest.raises(LayoutError):
             layout_from_dict({"length_m": 12.8})
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(LayoutError, match="layout file not found"):
+            load_layout(tmp_path / "none.json")
+
+    @pytest.mark.parametrize("where, field, value", [
+        ("seat", "x", "a"),
+        ("seat", "y", None),
+        ("seat", "id", 1.5),
+        ("seat", "id", "q"),
+        ("rx", "z", float("nan")),
+        ("top", "length_m", [12.8]),
+        ("top", "upper_height_m", "high"),
+    ])
+    def test_bad_number_names_file_and_field(self, tmp_path, where, field, value):
+        obj = layout_to_dict(default_layout())
+        target = {"seat": obj["seats"][0], "rx": obj["rx"], "top": obj}[where]
+        target[field] = value
+        path = tmp_path / "layout.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(LayoutError, match=f"field '{field}'") as exc:
+            load_layout(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("field, value", [
+        ("length_m", 1e300), ("width_m", 2000.0), ("upper_height_m", 1e300),
+        ("lower_height_m", -0.1),
+    ])
+    def test_extent_out_of_range_rejected(self, field, value):
+        obj = layout_to_dict(default_layout())
+        obj[field] = value
+        with pytest.raises(LayoutError, match=field.split("_")[0]):
+            layout_from_dict(obj)
+
+    def test_huge_receiver_height_rejected(self):
+        # rx z is not bounded by the footprint; squaring 1e300 would overflow
+        obj = layout_to_dict(default_layout())
+        obj["rx"]["z"] = 1e300
+        with pytest.raises(LayoutError, match="rx z"):
+            layout_from_dict(obj)

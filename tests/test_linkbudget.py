@@ -14,6 +14,7 @@ from busloss.geometry import (
     link_distance,
 )
 from busloss.linkbudget import (
+    MAX_DRAW_LINKS,
     LinkBudgetConfig,
     empirical_coverage,
     interference_footprint,
@@ -93,6 +94,11 @@ class TestShannonRate:
     def test_bad_bandwidth(self):
         with pytest.raises(ValueError):
             shannon_rate(0.0, 0.0)
+
+    def test_huge_snr_does_not_overflow(self):
+        # 10**(snr/10) overflows a float here; the rate is B * snr/10 * log2(10).
+        rate = shannon_rate(4000.0, 1e9)
+        assert rate == pytest.approx(1e9 * 400.0 * math.log2(10.0), rel=1e-12)
 
 
 class TestSeatSweep:
@@ -224,11 +230,23 @@ class TestInterferenceFootprint:
             )
 
     def test_seats_resolved_before_draw_count(self):
-        with pytest.raises(ExcludedPositionError):
+        for n_draws in (0, MAX_DRAW_LINKS + 1):
+            with pytest.raises(ExcludedPositionError):
+                interference_footprint(
+                    default_layout(), builtin_registry(), CONFIG, [5], HeightClass.LOWER,
+                    seed=0, n_draws=n_draws,
+                )
+
+    def test_draw_links_over_limit_rejected(self):
+        # Only draw counts over the limit are used: the check comes before any allocation.
+        layout, models = two_seat_layout()
+        n_draws = MAX_DRAW_LINKS // 2 + 1
+        with pytest.raises(ValueError, match="draws x 2 links"):
             interference_footprint(
-                default_layout(), builtin_registry(), CONFIG, [5], HeightClass.LOWER,
-                seed=0, n_draws=0,
+                layout, models, CONFIG, [1, 2], HeightClass.UPPER, seed=0, n_draws=n_draws
             )
+        with pytest.raises(ValueError, match="draws x 2 links"):
+            empirical_coverage(layout, models, CONFIG, HeightClass.UPPER, seed=0, n_draws=n_draws)
 
 
 class TestEmpiricalCoverage:
@@ -266,3 +284,22 @@ class TestConfigValidation:
     def test_negative_noise_figure(self):
         with pytest.raises(ValueError):
             LinkBudgetConfig(noise_figure_db=-1.0)
+
+    @pytest.mark.parametrize("name", [
+        "tx_power_dbm", "g_tx_dbi", "g_rx_dbi", "bandwidth_hz", "noise_figure_db",
+        "snr_threshold_db",
+    ])
+    def test_nan_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            LinkBudgetConfig(**{name: math.nan})
+
+    @pytest.mark.parametrize("name", [
+        "tx_power_dbm", "g_tx_dbi", "g_rx_dbi", "bandwidth_hz", "noise_figure_db",
+    ])
+    def test_infinity_rejected(self, name):
+        for value in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                LinkBudgetConfig(**{name: value})
+
+    def test_infinite_threshold_allowed(self):
+        assert LinkBudgetConfig(snr_threshold_db=math.inf).snr_threshold_db == math.inf

@@ -16,10 +16,14 @@ from busloss.models import (
     builtin_registry,
     compare_models,
     coverage_probability,
+    csv_text,
+    float_field,
     from_combined_form,
     fspl,
     is_extrapolated,
+    load_json_object,
     mean_path_loss,
+    model_from_dict,
     model_from_json,
     model_to_json,
     sample_path_loss,
@@ -218,3 +222,38 @@ class TestValidation:
         assert not is_extrapolated(12.0)
         assert is_extrapolated(0.2)
         assert is_extrapolated(20.0)
+
+
+class TestInputHelpers:
+    @pytest.mark.parametrize("value", [None, "x", [1.0], math.nan, "nan", 10**400])
+    def test_float_field_names_bad_field(self, value):
+        with pytest.raises(ValueError, match="field 'beta' must be a number"):
+            float_field({"beta": value}, "beta")
+
+    def test_float_field_default_and_infinity(self):
+        assert float_field({}, "g", 2.0) == 2.0
+        assert float_field({"g": "-inf"}, "g") == -math.inf
+
+    def test_load_json_object_names_file(self, tmp_path):
+        class ModelFileError(ValueError):
+            pass
+
+        path = tmp_path / "m.json"
+        for text, expected in [
+            ("{", "invalid JSON"),
+            ("[]", "model must be a JSON object, not list"),
+            ('{"beta": 2.0, "sigma_db": 1.0}', "missing field 'alpha_db'"),
+            ('{"alpha_db": NaN, "beta": 2.0, "sigma_db": 1.0}', "field 'alpha_db'"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ModelFileError, match=expected) as exc:
+                load_json_object(path, "model", model_from_dict, ModelFileError)
+            assert str(path) in str(exc.value)
+
+    def test_load_json_object_missing_file(self, tmp_path):
+        with pytest.raises(ValueError, match="model file not found"):
+            load_json_object(tmp_path / "none.json", "model", model_from_dict)
+
+    def test_csv_text(self):
+        assert csv_text(("a", "b"), [("1", "2"), ("3", "")]) == "a,b\n1,2\n3,\n"
+        assert csv_text(("a",), []) == "a\n"

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from busloss.models import HeightClass, Region, builtin_model, mean_path_loss
+from busloss.geometry import default_layout, link_distance
+from busloss.models import HeightClass, PathLossModel, Region, builtin_model, mean_path_loss
 from busloss.pdp import (
     LinkCalibration,
     MeasurementSet,
@@ -12,11 +13,14 @@ from busloss.pdp import (
     aggregate_measurement,
     delay_to_distance,
     integrate_pdp,
+    MAX_SWEEPS,
     load_measurement_dir,
     load_pdp_csv,
+    measurements_to_samples,
     path_loss_from_power,
     peak_component,
     pdp_to_csv,
+    synth_measurements,
     write_measurement_dir,
 )
 
@@ -179,6 +183,29 @@ class TestMeasurementIo:
         assert np.array_equal(back.delays_ns, pdp.delays_ns)
         assert np.array_equal(back.powers_db, pdp.powers_db)
 
+    @pytest.mark.parametrize("row", ["2.0,inf", "2.0,-inf", "2.0,nan", "nan,-100"])
+    def test_non_finite_value_named_line(self, tmp_path, row):
+        path = tmp_path / "sweep_0.csv"
+        path.write_text(f"delay_ns,power_db\n1.0,-100\n{row}\n")
+        with pytest.raises(PdpFormatError, match=r"sweep_0\.csv:3: values must be finite"):
+            load_pdp_csv(path)
+
+    def test_infinite_seat_in_metadata_rejected(self, tmp_path):
+        entry = tmp_path / "1_upper"
+        entry.mkdir()
+        (entry / "meta.json").write_text('{"seat": 1e400, "height": "upper"}')
+        (entry / "sweep_0.csv").write_text("delay_ns,power_db\n1.0,-90\n")
+        with pytest.raises(PdpFormatError, match="meta.json: bad metadata"):
+            load_measurement_dir(tmp_path)
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "sweep_0.csv"
+        path.write_text("delay_ns,power_db\n1.0,-100\n\n , \n\t\n2.0,-101\n")
+        assert load_pdp_csv(path).powers_db.tolist() == [-100.0, -101.0]
+        path.write_text("delay_ns,power_db\n1.0,-100\n ,x\n")
+        with pytest.raises(PdpFormatError, match=":3: non-numeric"):
+            load_pdp_csv(path)
+
     def test_out_of_order_delays_named_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("delay_ns,power_db\n2.0,-100\n1.0,-100\n")
@@ -246,3 +273,49 @@ class TestCalibrationValidation:
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError):
             LinkCalibration(radiated_power_db=0.0, noise_threshold_db=0.0)
+
+
+class TestSynthAndSamples:
+    LINKS = [(14, 4.05), (2, 1.72)]
+
+    def test_noiseless_round_trip(self):
+        # sigma = 0: every sweep reduces back to the model mean at the link distance
+        model = PathLossModel(82.86, 2.03, 0.0)
+        cal = LinkCalibration(radiated_power_db=3.0, g_tx_dbi=1.0, g_rx_dbi=4.0)
+        sets = synth_measurements(model, self.LINKS, HeightClass.UPPER, cal, n_sweeps=3, seed=0)
+        assert [(m.seat, len(m.sweeps)) for m in sets] == [(14, 3), (2, 3)]
+        samples = measurements_to_samples(sets, cal)
+        assert samples.seat == [14, 2]
+        assert samples.height == [HeightClass.UPPER] * 2
+        assert samples.region is None
+        for (_, d), got_d, got_pl in zip(self.LINKS, samples.distance_m, samples.path_loss_db):
+            assert got_d == pytest.approx(d, rel=1e-12)
+            assert got_pl == pytest.approx(mean_path_loss(model, d), abs=1e-9)
+
+    def test_same_seed_identical(self):
+        model = builtin_model(Region.ALL, HeightClass.UPPER)
+        a, b = (synth_measurements(model, self.LINKS, HeightClass.UPPER, CAL, 4, seed=5)
+                for _ in range(2))
+        assert [r.powers_db.tolist() for m in a for r in m.sweeps] == [
+            r.powers_db.tolist() for m in b for r in m.sweeps
+        ]
+
+    @pytest.mark.parametrize("n_sweeps", [0, -1, MAX_SWEEPS + 1])
+    def test_sweep_count_checked(self, n_sweeps):
+        model = builtin_model(Region.ALL, HeightClass.UPPER)
+        with pytest.raises(ValueError, match="n_sweeps"):
+            synth_measurements(model, self.LINKS, HeightClass.UPPER, CAL, n_sweeps, seed=0)
+
+    def test_layout_tags_regions(self):
+        layout = default_layout()
+        d = link_distance(layout, 14, HeightClass.UPPER)
+        sets = synth_measurements(
+            builtin_model(Region.ALL, HeightClass.UPPER), [(14, d)], HeightClass.UPPER,
+            CAL, 1, seed=0,
+        )
+        samples = measurements_to_samples(sets, CAL, layout)
+        assert samples.region == [layout.seat(14).group]
+
+    def test_no_sets_gives_empty_samples(self):
+        samples = measurements_to_samples([], CAL)
+        assert len(samples) == 0
