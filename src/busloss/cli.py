@@ -3,6 +3,10 @@
 Subcommands: fit, eval, verify, process, synth, sweep, footprint, compare.
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 input/parse error, 3 insufficient data, 4 ineligible request.
+Commands report failure by raising: ValueError (2), fit.InsufficientDataError
+or fit.DegenerateDataError (3), geometry.ExcludedPositionError or
+geometry.SeatNotFoundError (4); main turns the error into its exit code and
+a one-line message on stderr.
 All randomness flows from an explicit --seed; nothing is wall-clock seeded.
 """
 
@@ -54,12 +58,6 @@ _ROUNDED_COMBINED = {
 }
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INPUT):
-        super().__init__(message)
-        self.code = code
-
-
 def _resolve_model(spec: str) -> PathLossModel:
     """A model selector: 'Region/height' for built-ins, else a JSON file path."""
     if Path(spec).exists():
@@ -69,7 +67,7 @@ def _resolve_model(spec: str) -> PathLossModel:
         region = Region(region_part.capitalize() if region_part.lower() != "all" else "All")
         height = HeightClass(height_part.lower())
     except ValueError:
-        raise CliError(
+        raise ValueError(
             f"model {spec!r} is neither a built-in selector (Region/height) nor an existing file"
         ) from None
     return builtin_model(region, height)
@@ -89,25 +87,25 @@ def _resolve_height(name: str) -> HeightClass:
     try:
         return HeightClass(name.lower())
     except ValueError:
-        raise CliError(f"height must be 'lower' or 'upper', got {name!r}") from None
+        raise ValueError(f"height must be 'lower' or 'upper', got {name!r}") from None
 
 
 def _parse_range(spec: str) -> np.ndarray:
     """'a:b:step' -> inclusive distance grid of at most MAX_GRID_POINTS points."""
     parts = spec.split(":")
     if len(parts) != 3:
-        raise CliError(f"distance range must be a:b:step, got {spec!r}")
+        raise ValueError(f"distance range must be a:b:step, got {spec!r}")
     try:
         a, b, step = (float(p) for p in parts)
     except ValueError:
-        raise CliError(f"non-numeric distance range {spec!r}") from None
+        raise ValueError(f"non-numeric distance range {spec!r}") from None
     # Written so that NaN fails every comparison and is rejected.
     if not (0 < a <= b < math.inf and 0 < step < math.inf):
-        raise CliError(f"invalid distance range {spec!r}")
+        raise ValueError(f"invalid distance range {spec!r}")
     # min() keeps a (b - a) / step that overflowed to inf countable.
     n = round(min((b - a) / step, MAX_GRID_POINTS)) + 1
     if n > MAX_GRID_POINTS:
-        raise CliError(f"distance range {spec!r} has more than {MAX_GRID_POINTS} points")
+        raise ValueError(f"distance range {spec!r} has more than {MAX_GRID_POINTS} points")
     grid = a + step * np.arange(n)
     return grid[grid <= b + 1e-9]
 
@@ -132,13 +130,15 @@ def _write_table(args, items, to_dict, to_csv) -> int:
 def cmd_fit(args) -> int:
     path = Path(args.samples)
     if not path.is_file():
-        raise CliError(f"sample file not found: {args.samples}")
+        raise ValueError(f"sample file not found: {args.samples}")
     samples = fitmod.samples_from_csv(path.read_text(encoding="utf-8"), source=str(path))
 
     if args.by_group:
+        if samples.region is None or samples.height is None:
+            raise ValueError(f"{path}: --by-group needs region and height columns")
         partition = fitmod.fit_by_partition(samples)
         if not partition.fits:
-            raise CliError("no cell has enough samples to fit", EXIT_INSUFFICIENT)
+            raise fitmod.InsufficientDataError("no cell has enough samples to fit")
         out = {
             f"{key[0].value}/{key[1].value}": fitmod.fit_result_to_dict(res)
             for key, res in partition.fits.items()
@@ -238,7 +238,7 @@ def cmd_synth(args) -> int:
 
     if args.pdp_dir is not None:
         if args.calibration is None:
-            raise CliError("--pdp-dir requires --calibration")
+            raise ValueError("--pdp-dir requires --calibration")
         cal = load_json_object(args.calibration, "calibration", pdp.calibration_from_dict)
         sets = pdp.synth_measurements(
             model, zip(seat_ids, distances), height, cal, args.sweeps, args.seed
@@ -271,9 +271,9 @@ def cmd_footprint(args) -> int:
     try:
         active = [int(s) for s in args.active.split(",") if s.strip()]
     except ValueError:
-        raise CliError(f"--active must be a comma-separated id list, got {args.active!r}") from None
+        raise ValueError(f"--active must be a comma-separated id list, got {args.active!r}") from None
     if not active:
-        raise CliError("--active must name at least one seat")
+        raise ValueError("--active must name at least one seat")
     summaries = linkbudget.interference_footprint(
         layout, builtin_registry(), config, active, height,
         seed=args.seed, n_draws=args.draws, use_all_model=args.use_all_model,
@@ -357,22 +357,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # The exit code of each error class, tried in order.
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (fitmod.InsufficientDataError, fitmod.DegenerateDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
+        code, message = EXIT_INSUFFICIENT, exc
     except (geometry.ExcludedPositionError, geometry.SeatNotFoundError) as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_INELIGIBLE
-    except (pdp.PdpFormatError, geometry.LayoutError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code, message = EXIT_INELIGIBLE, exc.args[0]  # str() of a KeyError adds quotes
+    except ValueError as exc:
+        code, message = EXIT_INPUT, exc
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,14 @@ class InsufficientDataError(ValueError):
 
 
 class DegenerateDataError(ValueError):
-    """Samples cannot identify the model (e.g. a single distinct distance)."""
+    """Samples cannot identify the model (e.g. a single distinct distance, or
+    path losses whose least-squares sums overflow a float)."""
+
+
+# The optional tags of a sample, in sample CSV column order, each with the
+# parser of its CSV cells. A cell is written as the tag's .value, if it has
+# one, else as str(tag); an empty cell is a missing (None) tag.
+SAMPLE_TAGS = {"seat": int, "region": Region, "height": HeightClass}
 
 
 @dataclass
@@ -43,7 +50,7 @@ class SampleSet:
             raise ValueError("distance and path loss arrays must match in length")
         if np.any(~np.isfinite(self.distance_m)) or np.any(self.distance_m <= 0):
             raise ValueError("all distances must be finite and > 0")
-        for name in ("seat", "region", "height"):
+        for name in SAMPLE_TAGS:
             tags = getattr(self, name)
             if tags is not None and len(tags) != len(self.distance_m):
                 raise ValueError(f"{name} tags must match sample count")
@@ -86,11 +93,14 @@ def fit_log_distance(
 
     x = 10.0 * np.log10(d)
     y = samples.path_loss_db
-    beta, alpha = np.polyfit(x, y, 1)
-    residuals = y - (alpha + beta * x)
-    ssr = float(residuals @ residuals)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        beta, alpha = np.polyfit(x, y, 1)
+        residuals = y - (alpha + beta * x)
+        ssr = float(residuals @ residuals)
+        sst = float(np.sum((y - y.mean()) ** 2))
+    if not math.isfinite(ssr):
+        raise DegenerateDataError("path losses too large to fit in double precision")
     sigma = math.sqrt(ssr / (n - 2))
-    sst = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 if sst == 0.0 else min(1.0, max(0.0, 1.0 - ssr / sst))
 
     model = PathLossModel(
@@ -157,14 +167,12 @@ def samples_to_csv(samples: SampleSet) -> str:
     """Serialize to the sample CSV schema; tag columns appear only when present."""
     header = ["distance_m", "path_loss_db"]
     columns = [map(repr, samples.distance_m.tolist()), map(repr, samples.path_loss_db.tolist())]
-    if samples.seat is not None:
-        header.append("seat")
-        columns.append(["" if s is None else str(s) for s in samples.seat])
-    for name in ("region", "height"):
+    for name in SAMPLE_TAGS:
         tags = getattr(samples, name)
         if tags is not None:
+            text = {t: "" if t is None else str(getattr(t, "value", t)) for t in set(tags)}
             header.append(name)
-            columns.append(["" if t is None else t.value for t in tags])
+            columns.append([text[t] for t in tags])
     return csv_text(header, zip(*columns))
 
 
@@ -180,15 +188,17 @@ def samples_from_csv(text: str, source: str = "<string>") -> SampleSet:
         raise ValueError(
             f"{source}:1: header must start with distance_m,path_loss_db"
         )
+    tags = {}
     for col in header[2:]:
-        if col not in ("seat", "region", "height"):
+        if col not in SAMPLE_TAGS:
             raise ValueError(f"{source}:1: unknown column {col!r}")
-    col_index = {name: i for i, name in enumerate(header)}
+        if col in tags:
+            raise ValueError(f"{source}:1: repeated column {col!r}")
+        tags[col] = []
+    # (append, parse, column) per tag column, bound once: a lookup by name per cell is slow.
+    cells = [(tags[name].append, SAMPLE_TAGS[name], i) for i, name in enumerate(header[2:], 2)]
 
     distances, losses = [], []
-    seats = [] if "seat" in col_index else None
-    regions = [] if "region" in col_index else None
-    heights = [] if "height" in col_index else None
     for lineno, row in enumerate(reader, start=2):
         if not "".join(row).strip():  # blank or whitespace-only row
             continue
@@ -206,21 +216,12 @@ def samples_from_csv(text: str, source: str = "<string>") -> SampleSet:
         distances.append(d)
         losses.append(pl)
         try:
-            if seats is not None:
-                cell = row[col_index["seat"]].strip()
-                seats.append(int(cell) if cell else None)
-            if regions is not None:
-                cell = row[col_index["region"]].strip()
-                regions.append(Region(cell) if cell else None)
-            if heights is not None:
-                cell = row[col_index["height"]].strip()
-                heights.append(HeightClass(cell) if cell else None)
+            for append, parse, i in cells:
+                cell = row[i].strip()
+                append(parse(cell) if cell else None)
         except ValueError:
             raise ValueError(f"{source}:{lineno}: bad tag value") from None
-    return SampleSet(
-        np.asarray(distances), np.asarray(losses),
-        seat=seats, region=regions, height=heights,
-    )
+    return SampleSet(np.asarray(distances), np.asarray(losses), **tags)
 
 
 def fit_result_to_dict(result: FitResult) -> dict:

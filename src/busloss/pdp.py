@@ -43,13 +43,11 @@ class PdpFormatError(ValueError):
 
 @dataclass
 class PdpRecord:
-    """One sweep: delay bins (ns) with powers (dB), plus source metadata."""
+    """One sweep: delay bins (ns) with powers (dB). Its seat and height are
+    those of the MeasurementSet that holds it."""
 
     delays_ns: np.ndarray
     powers_db: np.ndarray
-    seat: int | None = None
-    height: HeightClass | None = None
-    sweep: int | None = None
 
     def __post_init__(self) -> None:
         self.delays_ns = np.asarray(self.delays_ns, dtype=float)
@@ -73,13 +71,6 @@ class MeasurementSet:
     height: HeightClass
     sweeps: list[PdpRecord] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        for rec in self.sweeps:
-            if rec.seat is not None and rec.seat != self.seat:
-                raise ValueError(f"sweep seat {rec.seat} != set seat {self.seat}")
-            if rec.height is not None and rec.height != self.height:
-                raise ValueError("sweep height differs from set height")
-
 
 @dataclass(frozen=True)
 class LinkCalibration:
@@ -94,17 +85,22 @@ class LinkCalibration:
         for name in ("radiated_power_db", "g_tx_dbi", "g_rx_dbi"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.radiated_power_db + self.g_tx_dbi + self.g_rx_dbi):
+            raise ValueError("radiated_power_db + g_tx_dbi + g_rx_dbi must be finite")
         if not self.noise_threshold_db > 0:
             raise ValueError("noise_threshold_db must be > 0")
 
 
 def integrate_pdp(pdp: PdpRecord, threshold_db: float = DEFAULT_NOISE_THRESHOLD_DB) -> float:
-    """Total received power in dB over the bins within threshold_db of the peak."""
+    """Total received power in dB over the bins within threshold_db of the peak;
+    -inf or inf when the linear total is outside the range of a float."""
     if len(pdp) == 0:
         raise ValueError("cannot integrate an empty PDP")
     peak = float(np.max(pdp.powers_db))
     kept = pdp.powers_db[pdp.powers_db >= peak - threshold_db]
-    return 10.0 * math.log10(float(np.sum(10.0 ** (kept / 10.0))))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(10.0 ** (kept / 10.0)))
+    return 10.0 * math.log10(total) if total > 0.0 else -math.inf
 
 
 def path_loss_from_power(cal: LinkCalibration, p_rx_db: float) -> float:
@@ -134,17 +130,25 @@ def aggregate_measurement(
     """(distance m, path loss dB) for one transmitter position.
 
     Received powers are averaged across sweeps in the linear domain; the
-    distance comes from the median peak delay.
+    distance comes from the median peak delay. A set whose mean power is
+    outside the range of a float, or whose median peak delay gives no
+    distance > 0, raises ValueError naming its `<seat>_<height>` directory.
     """
     if not mset.sweeps:
         raise ValueError("measurement set has no sweeps")
+    where = f"{mset.seat}_{mset.height.value}"
     rx_db = np.array(
         [integrate_pdp(rec, cal.noise_threshold_db) for rec in mset.sweeps]
     )
-    mean_rx_db = 10.0 * math.log10(float(np.mean(10.0 ** (rx_db / 10.0))))
-    peak_delays = np.array([peak_component(rec)[0] for rec in mset.sweeps])
-    distance = delay_to_distance(float(np.median(peak_delays)))
-    return distance, path_loss_from_power(cal, mean_rx_db)
+    with np.errstate(over="ignore"):  # an overflow fails the range checks below
+        mean_rx = float(np.mean(10.0 ** (rx_db / 10.0)))
+        delay_ns = float(np.median([peak_component(rec)[0] for rec in mset.sweeps]))
+    if not 0.0 < mean_rx < math.inf:
+        raise ValueError(f"{where}: mean received power is outside the range of a float")
+    distance = delay_to_distance(delay_ns) if 0.0 < delay_ns < math.inf else 0.0
+    if distance == 0.0:
+        raise ValueError(f"{where}: median peak delay {delay_ns!r} ns gives no distance > 0")
+    return distance, path_loss_from_power(cal, 10.0 * math.log10(mean_rx))
 
 
 def measurements_to_samples(
@@ -175,10 +179,10 @@ def synth_measurements(
     for seat_id, d in links:
         delay_ns = d / SPEED_OF_LIGHT * 1e9
         sweeps = []
-        for k in range(n_sweeps):
+        for _ in range(n_sweeps):
             loss = sample_path_loss(model, d, rng)
             power = cal.radiated_power_db + cal.g_tx_dbi + cal.g_rx_dbi - loss
-            sweeps.append(PdpRecord([delay_ns], [power], seat=seat_id, height=height, sweep=k))
+            sweeps.append(PdpRecord([delay_ns], [power]))
         sets.append(MeasurementSet(seat=seat_id, height=height, sweeps=sweeps))
     return sets
 
@@ -192,12 +196,7 @@ def pdp_to_csv(pdp: PdpRecord) -> str:
     )
 
 
-def load_pdp_csv(
-    path: str | Path,
-    seat: int | None = None,
-    height: HeightClass | None = None,
-    sweep: int | None = None,
-) -> PdpRecord:
+def load_pdp_csv(path: str | Path) -> PdpRecord:
     """Parse one sweep file, reporting the offending line on error."""
     path = Path(path)
     reader = csv.reader(io.StringIO(path.read_text(encoding="utf-8")))
@@ -224,17 +223,13 @@ def load_pdp_csv(
             raise PdpFormatError(f"{path}:{lineno}: delays must strictly increase")
         delays.append(delay)
         powers.append(power)
-    try:
-        return PdpRecord(
-            np.asarray(delays), np.asarray(powers),
-            seat=seat, height=height, sweep=sweep,
-        )
-    except ValueError as exc:
-        raise PdpFormatError(f"{path}: {exc}") from None
+    if not delays:
+        raise PdpFormatError(f"{path}: no delay bins")
+    return PdpRecord(np.asarray(delays), np.asarray(powers))
 
 
 _SET_DIR_RE = re.compile(r"^(\d+)_(lower|upper)$")
-_SWEEP_FILE_RE = re.compile(r"^sweep_(\d+)\.csv$")
+_SWEEP_FILE_RE = re.compile(r"^sweep_\d+\.csv$")
 
 
 def load_measurement_dir(root: str | Path) -> list[MeasurementSet]:
@@ -266,12 +261,9 @@ def load_measurement_dir(root: str | Path) -> list[MeasurementSet]:
 
         sweeps = []
         for sweep_path in sorted(entry.glob("sweep_*.csv")):
-            m = _SWEEP_FILE_RE.match(sweep_path.name)
-            if m is None:
+            if _SWEEP_FILE_RE.match(sweep_path.name) is None:
                 raise PdpFormatError(f"{sweep_path}: file name must be sweep_<k>.csv")
-            sweeps.append(
-                load_pdp_csv(sweep_path, seat=seat, height=height, sweep=int(m.group(1)))
-            )
+            sweeps.append(load_pdp_csv(sweep_path))
         if not sweeps:
             raise PdpFormatError(f"{entry}: no sweep files")
         sets.append(MeasurementSet(seat=seat, height=height, sweeps=sweeps))
@@ -290,10 +282,7 @@ def write_measurement_dir(root: str | Path, sets: list[MeasurementSet]) -> None:
             encoding="utf-8",
         )
         for k, rec in enumerate(mset.sweeps):
-            sweep = rec.sweep if rec.sweep is not None else k
-            (entry / f"sweep_{sweep}.csv").write_text(
-                pdp_to_csv(rec), encoding="utf-8"
-            )
+            (entry / f"sweep_{k}.csv").write_text(pdp_to_csv(rec), encoding="utf-8")
 
 
 def calibration_from_dict(obj: dict) -> LinkCalibration:

@@ -92,6 +92,13 @@ class TestFit:
         assert out == ""
         assert f"{path}:4: path loss must be finite" in err
 
+    def test_by_group_without_tag_columns_names_file(self, capsys, tmp_path):
+        path = tmp_path / "untagged.csv"
+        path.write_text("distance_m,path_loss_db,region\n1.0,85.0,A\n2.0,90.0,A\n3.0,93.0,A\n")
+        code, out, err = run(capsys, "fit", str(path), "--by-group")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: --by-group needs region and height columns\n"
+
 
 class TestEval:
     def test_mean_at_ten_metres(self, capsys):
@@ -239,6 +246,16 @@ class TestVerify:
         assert not var_row["pass"]
 
 
+def write_set(root, sweeps, seat=14, height="upper"):
+    """A one-set measurement tree; sweeps lists each sweep's `delay,power` rows."""
+    entry = root / f"{seat}_{height}"
+    entry.mkdir(parents=True)
+    (entry / "meta.json").write_text(json.dumps({"seat": seat, "height": height}))
+    for k, rows in enumerate(sweeps):
+        (entry / f"sweep_{k}.csv").write_text("delay_ns,power_db\n" + "".join(r + "\n" for r in rows))
+    return root
+
+
 class TestProcessPipeline:
     def test_synth_process_fit_round_trip(self, capsys, tmp_path):
         model_path = tmp_path / "model.json"
@@ -277,6 +294,34 @@ class TestProcessPipeline:
         code, _, err = run(capsys, "process", str(tmp_path / "pdp"), str(cal_path))
         assert code == 2
         assert "sweep_0.csv" in err
+
+    @pytest.mark.parametrize("sweeps, reason", [
+        ([["0.0,-90"]], "distance"),
+        ([["0.0,-90", "5.0,-95"], ["0.0,-91"], ["2.0,-99"]], "distance"),
+        ([["13.0,5000"]], "received power"),
+        ([["13.0,-5000"]], "received power"),
+    ])
+    def test_meaningless_set_names_set(self, capsys, tmp_path, sweeps, reason):
+        cal = tmp_path / "cal.json"
+        cal.write_text('{"radiated_power_db": 0.0}')
+        code, out, err = run(capsys, "process", str(write_set(tmp_path / "pdp", sweeps)), str(cal))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 14_upper: ") and reason in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["synth", "process"])
+    def test_calibration_sum_overflow_exit_2(self, capsys, tmp_path, command):
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps({"radiated_power_db": 1e308, "g_tx_dbi": 1e308}))
+        argv = {
+            "synth": ["synth", "--model", "All/upper", "--height", "upper", "--seed", "1",
+                      "--pdp-dir", str(tmp_path / "out"), "--calibration", str(cal)],
+            "process": ["process", str(write_set(tmp_path / "pdp", [["13.5,-90"]])), str(cal)],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert str(cal) in err and "radiated_power_db + g_tx_dbi + g_rx_dbi" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSynth:

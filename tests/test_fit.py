@@ -71,6 +71,13 @@ class TestFitLogDistance:
                 SampleSet(np.array([2.0, 2.0, 2.0]), np.array([90.0, 91.0, 92.0]))
             )
 
+    def test_overflowing_sums_degenerate(self):
+        # residuals of 1e308 square to inf; the fit reports that instead of an inf sigma
+        with pytest.raises(DegenerateDataError, match="too large"):
+            fit_log_distance(
+                SampleSet(np.array([1.0, 2.0, 3.0]), np.array([1e308, -1e308, 1e308]))
+            )
+
     def test_residual_orthogonality(self):
         model = builtin_model(Region.B, HeightClass.LOWER)
         result = fit_log_distance(synth_samples(model, np.linspace(1, 12, 500), seed=9))
@@ -222,6 +229,33 @@ class TestSampleCsv:
         assert back.seat == [1, 2]
         assert back.region == [Region.A, Region.B]
         assert back.height == [HeightClass.LOWER, HeightClass.UPPER]
+
+    @pytest.mark.parametrize("columns, row, tags", [
+        ("height,seat", "upper,7", {"height": [HeightClass.UPPER], "seat": [7]}),
+        ("region", "B", {"region": [Region.B]}),
+        ("seat,region,height", "3,C,lower",
+         {"seat": [3], "region": [Region.C], "height": [HeightClass.LOWER]}),
+        ("region,height,seat", ",upper,", {"region": [None], "height": [HeightClass.UPPER],
+                                           "seat": [None]}),
+    ])
+    def test_tag_columns_in_any_order_and_subset(self, columns, row, tags):
+        samples = samples_from_csv(f"distance_m,path_loss_db,{columns}\n2.0,90.0,{row}\n")
+        for name in ("seat", "region", "height"):
+            assert getattr(samples, name) == tags.get(name)
+
+    @pytest.mark.parametrize("text, error", [
+        ("distance_m,path_loss_db,floor\n1,85,2\n", "x.csv:1: unknown column 'floor'"),
+        ("distance_m,path_loss_db,region,region\n1,85,A,B\n", "x.csv:1: repeated column 'region'"),
+        ("distance_m,path_loss_db, seat ,height,seat\n1,85,1,upper,2\n",
+         "x.csv:1: repeated column 'seat'"),
+        ("distance_m,path_loss_db,height,region\n1,85,upper,A\n2,90,upper,E\n",
+         "x.csv:3: bad tag value"),
+        ("distance_m,path_loss_db,seat\n1,85,1\n2,90,1\n3,95,x\n", "x.csv:4: bad tag value"),
+        ("distance_m,path_loss_db,height\n1,85,middle\n", "x.csv:2: bad tag value"),
+    ])
+    def test_bad_header_or_tag_names_line(self, text, error):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            samples_from_csv(text, source="x.csv")
 
     def test_minimal_schema(self):
         text = "distance_m,path_loss_db\n1.0,85.0\n2.0,90.0\n"

@@ -25,8 +25,8 @@ from busloss.pdp import (
 )
 
 
-def make_pdp(delays, powers, **meta):
-    return PdpRecord(np.asarray(delays, float), np.asarray(powers, float), **meta)
+def make_pdp(delays, powers):
+    return PdpRecord(np.asarray(delays, float), np.asarray(powers, float))
 
 
 CAL = LinkCalibration(radiated_power_db=0.0, g_tx_dbi=2.0, g_rx_dbi=2.0)
@@ -144,6 +144,26 @@ class TestAggregateMeasurement:
                 MeasurementSet(seat=1, height=HeightClass.UPPER, sweeps=[]), CAL
             )
 
+    @pytest.mark.parametrize("sweeps, reason", [
+        ([([0.0], [-90.0])], "distance"),
+        ([([0.0, 5.0], [-90.0, -95.0])] * 2 + [([2.0], [-99.0])], "distance"),
+        ([([-5.0], [-90.0])], "distance"),
+        ([([13.0], [5000.0])], "received power"),
+        ([([13.0], [-5000.0])], "received power"),
+        ([([13.0], [3080.0])] * 2, "received power"),
+    ])
+    def test_meaningless_set_named(self, sweeps, reason):
+        mset = MeasurementSet(seat=14, height=HeightClass.UPPER,
+                              sweeps=[make_pdp(d, p) for d, p in sweeps])
+        with pytest.raises(ValueError, match=f"^14_upper: .*{reason}"):
+            aggregate_measurement(mset, CAL)
+
+    def test_sweep_below_float_range_counts_as_zero_power(self):
+        # 10**(-500) is 0.0 in a double, which is its correctly rounded share of the mean
+        sweeps = [make_pdp([13.0], [-90.0]), make_pdp([13.0], [-5000.0])]
+        mset = MeasurementSet(seat=1, height=HeightClass.UPPER, sweeps=sweeps)
+        assert aggregate_measurement(mset, CAL)[1] == pytest.approx(90.0 + 4.0 + 10 * np.log10(2))
+
     def test_end_to_end_single_component(self):
         # a lone component carrying exactly the model's mean loss round-trips
         model = builtin_model(Region.ALL, HeightClass.UPPER)
@@ -167,11 +187,6 @@ class TestPdpValidation:
     def test_non_finite_power_rejected(self):
         with pytest.raises(ValueError):
             make_pdp([1.0], [np.inf])
-
-    def test_sweep_metadata_must_match_set(self):
-        sweep = make_pdp([1.0], [-100.0], seat=2)
-        with pytest.raises(ValueError):
-            MeasurementSet(seat=1, height=HeightClass.UPPER, sweeps=[sweep])
 
 
 class TestMeasurementIo:
@@ -206,6 +221,12 @@ class TestMeasurementIo:
         with pytest.raises(PdpFormatError, match=":3: non-numeric"):
             load_pdp_csv(path)
 
+    def test_header_only_file_named(self, tmp_path):
+        path = tmp_path / "sweep_0.csv"
+        path.write_text("delay_ns,power_db\n\n")
+        with pytest.raises(PdpFormatError, match=r"sweep_0\.csv: no delay bins"):
+            load_pdp_csv(path)
+
     def test_out_of_order_delays_named_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("delay_ns,power_db\n2.0,-100\n1.0,-100\n")
@@ -217,10 +238,7 @@ class TestMeasurementIo:
             MeasurementSet(
                 seat=seat,
                 height=height,
-                sweeps=[
-                    make_pdp([13.5], [-99.4 - k], seat=seat, height=height, sweep=k)
-                    for k in range(3)
-                ],
+                sweeps=[make_pdp([13.5], [-99.4 - k]) for k in range(3)],
             )
             for seat, height in [(1, HeightClass.UPPER), (2, HeightClass.LOWER)]
         ]
@@ -229,6 +247,11 @@ class TestMeasurementIo:
         assert [(s.seat, s.height, len(s.sweeps)) for s in back] == [
             (1, HeightClass.UPPER, 3),
             (2, HeightClass.LOWER, 3),
+        ]
+        # sweep files are named by position, so the order survives
+        assert [rec.powers_db.tolist() for rec in back[0].sweeps] == [[-99.4], [-100.4], [-101.4]]
+        assert sorted(p.name for p in (tmp_path / "out" / "1_upper").iterdir()) == [
+            "meta.json", "sweep_0.csv", "sweep_1.csv", "sweep_2.csv"
         ]
 
     def test_seventy_two_sets(self, tmp_path):
@@ -273,6 +296,14 @@ class TestCalibrationValidation:
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError):
             LinkCalibration(radiated_power_db=0.0, noise_threshold_db=0.0)
+
+    @pytest.mark.parametrize("fields", [
+        {"radiated_power_db": 1e308, "g_tx_dbi": 1e308},
+        {"radiated_power_db": -1e308, "g_rx_dbi": -1e308},
+    ])
+    def test_radiated_level_must_be_finite(self, fields):
+        with pytest.raises(ValueError, match=r"radiated_power_db \+ g_tx_dbi \+ g_rx_dbi"):
+            LinkCalibration(**fields)
 
 
 class TestSynthAndSamples:

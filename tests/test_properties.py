@@ -4,6 +4,7 @@ each CSV reader gives back exactly what its writer wrote."""
 import contextlib
 import io
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -24,6 +25,17 @@ from busloss.pdp import (
 
 # Fixed examples keep the suite deterministic; no example database is written.
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def run_cli(argv):
+    """(exit code, stderr) of an in-process CLI call. An exception escaping
+    main, which would print a traceback, fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -74,7 +86,7 @@ CASES = {
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("properties")
-    sweeps = [PdpRecord([13.5, 20.0], [-90.0, -101.0], sweep=k) for k in range(2)]
+    sweeps = [PdpRecord([13.5, 20.0], [-90.0, -101.0]) for _ in range(2)]
     write_measurement_dir(root / "pdp", [MeasurementSet(14, HeightClass.UPPER, sweeps)])
     return root
 
@@ -88,12 +100,10 @@ def test_any_json_input_exits_cleanly(workdir, kind):
     @given(contents)
     def check(value):
         path.write_text(json.dumps(value))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([a.format(f=path, d=workdir / "pdp") for a in argv])
+        code, err = run_cli([a.format(f=path, d=workdir / "pdp") for a in argv])
         assert code in (0, 2, 3, 4)
         if code != 0:
-            assert str(path) in err.getvalue()
+            assert str(path) in err
 
     check()
 
@@ -130,8 +140,7 @@ def test_sample_csv_round_trip(samples):
 
 @st.composite
 def pdp_records(draw):
-    finite = st.floats(allow_nan=False, allow_infinity=False)
-    delays = sorted(draw(st.lists(finite, max_size=12, unique=True)))
+    delays = sorted(draw(st.lists(finite, min_size=1, max_size=12, unique=True)))
     powers = draw(st.lists(finite, min_size=len(delays), max_size=len(delays)))
     return PdpRecord(delays, powers)
 
@@ -146,5 +155,78 @@ def test_pdp_csv_round_trip(tmp_path):
         back = load_pdp_csv(path)
         assert back.delays_ns.tolist() == record.delays_ns.tolist()
         assert back.powers_db.tolist() == record.powers_db.tolist()
+
+    check()
+
+
+# Valid cells of each sample CSV column; numbers cover the full double range.
+SAMPLE_CELLS = {
+    "distance_m": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "path_loss_db": finite,
+    "seat": st.integers().map(str) | st.just(""),
+    "region": st.sampled_from([r.value for r in Region] + [""]),
+    "height": st.sampled_from([h.value for h in HeightClass] + [""]),
+}
+
+
+@st.composite
+def sample_csv_texts(draw):
+    """Sample CSV text: the schema header with any tag columns and rows of
+    matching cells; about half the time one line is replaced by any cells."""
+    tags = draw(st.lists(st.sampled_from(["seat", "region", "height"]), unique=True))
+    header = ["distance_m", "path_loss_db", *tags]
+    cells = [SAMPLE_CELLS[name].map(lambda v: v if isinstance(v, str) else repr(v))
+             for name in header]
+    lines = [header, *draw(st.lists(st.tuples(*cells), max_size=10))]
+    if draw(st.booleans()):
+        any_cell = st.text(max_size=4) | st.sampled_from(header) | st.floats().map(repr)
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(st.lists(any_cell, max_size=6))
+    return "\n".join(",".join(line) for line in lines) + "\n"
+
+
+@pytest.mark.parametrize("by_group", [[], ["--by-group"]])
+def test_any_sample_csv_exits_cleanly(tmp_path, by_group):
+    path = tmp_path / "samples.csv"
+
+    # Exit 3 (too few samples or distances, sums that overflow) describes the
+    # data, not a fault at a place in the file, so only exit 2 names the file.
+    @PROPERTY
+    @given(sample_csv_texts())
+    def check(text):
+        path.write_text(text)
+        code, err = run_cli(["fit", path, *by_group])
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert err.startswith(f"error: {path}")
+
+    check()
+
+
+@st.composite
+def sweeps(draw):
+    """Rows of one sweep: strictly increasing delays and powers, all finite
+    and over the full double range."""
+    delays = sorted(draw(st.lists(finite, max_size=4, unique=True)))
+    return [f"{d!r},{draw(finite)!r}" for d in delays]
+
+
+def test_any_sweep_rows_exit_cleanly(tmp_path):
+    cal = tmp_path / "cal.json"
+    cal.write_text('{"radiated_power_db": 0.0}')
+
+    @PROPERTY
+    @given(st.lists(sweeps(), min_size=1, max_size=3))
+    def check(rows):
+        root = tmp_path / "pdp"
+        shutil.rmtree(root, ignore_errors=True)
+        entry = root / "14_upper"
+        entry.mkdir(parents=True)
+        (entry / "meta.json").write_text('{"seat": 14, "height": "upper"}')
+        for k, sweep in enumerate(rows):
+            (entry / f"sweep_{k}.csv").write_text("delay_ns,power_db\n" + "\n".join(sweep))
+        code, err = run_cli(["process", root, cal])
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith((f"error: {entry}", "error: 14_upper: "))
 
     check()
