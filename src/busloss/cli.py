@@ -35,6 +35,7 @@ from .models import (
     load_json_object,
     mean_path_loss,
     model_from_dict,
+    read_text,
     to_combined_form,
 )
 
@@ -90,6 +91,18 @@ def _resolve_height(name: str) -> HeightClass:
         raise ValueError(f"height must be 'lower' or 'upper', got {name!r}") from None
 
 
+def _seed(text: str) -> int:
+    """The type of --seed: a non-negative int. argparse prints the message after
+    the flag; a non-integer keeps the wording of type=int."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _parse_range(spec: str) -> np.ndarray:
     """'a:b:step' -> inclusive distance grid of at most MAX_GRID_POINTS points."""
     parts = spec.split(":")
@@ -129,9 +142,7 @@ def _write_table(args, items, to_dict, to_csv) -> int:
 
 def cmd_fit(args) -> int:
     path = Path(args.samples)
-    if not path.is_file():
-        raise ValueError(f"sample file not found: {args.samples}")
-    samples = fitmod.samples_from_csv(path.read_text(encoding="utf-8"), source=str(path))
+    samples = fitmod.samples_from_csv(read_text(args.samples, "sample"), source=str(path))
 
     if args.by_group:
         if samples.region is None or samples.height is None:
@@ -324,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic samples or a PDP directory")
     p.add_argument("--model", required=True, help="'Region/height' or model JSON file")
     p.add_argument("--height", required=True, help="lower or upper")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--pdp-dir", default=None, help="write a PDP measurement directory here")
     p.add_argument("--calibration", default=None, help="calibration JSON (for --pdp-dir)")
     p.add_argument("--sweeps", type=int, default=10, help="sweeps per seat (default 10)")
@@ -340,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("footprint", help="Monte-Carlo SINR with multiple transmitters")
     p.add_argument("--height", required=True, help="lower or upper")
     p.add_argument("--active", required=True, help="comma-separated active seat ids")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--draws", type=int, default=10000)
     p.add_argument("--config", default=None, help="budget config JSON")
     p.add_argument("--use-all-model", action="store_true")

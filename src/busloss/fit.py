@@ -7,15 +7,13 @@ deviation with n-2 degrees of freedom.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .models import HeightClass, PathLossModel, Region, csv_text, model_to_dict
+from .models import HeightClass, PathLossModel, Region, csv_rows, csv_text, model_to_dict
 
 
 class InsufficientDataError(ValueError):
@@ -88,7 +86,7 @@ def fit_log_distance(
     if n < 3:
         raise InsufficientDataError(f"need at least 3 samples, got {n}")
     d = samples.distance_m
-    if np.unique(d).size < 2:
+    if d.min() == d.max():
         raise DegenerateDataError("need at least two distinct distances")
 
     x = 10.0 * np.log10(d)
@@ -178,32 +176,13 @@ def samples_to_csv(samples: SampleSet) -> str:
 
 def samples_from_csv(text: str, source: str = "<string>") -> SampleSet:
     """Parse the sample CSV schema, naming the offending line on error."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError(f"{source}: empty sample file") from None
-    header = [h.strip() for h in header]
-    if header[:2] != ["distance_m", "path_loss_db"]:
-        raise ValueError(
-            f"{source}:1: header must start with distance_m,path_loss_db"
-        )
-    tags = {}
-    for col in header[2:]:
-        if col not in SAMPLE_TAGS:
-            raise ValueError(f"{source}:1: unknown column {col!r}")
-        if col in tags:
-            raise ValueError(f"{source}:1: repeated column {col!r}")
-        tags[col] = []
+    header, rows = csv_rows(text, source, "sample", ("distance_m", "path_loss_db"), SAMPLE_TAGS)
+    tags = {name: [] for name in header[2:]}
     # (append, parse, column) per tag column, bound once: a lookup by name per cell is slow.
     cells = [(tags[name].append, SAMPLE_TAGS[name], i) for i, name in enumerate(header[2:], 2)]
 
     distances, losses = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not "".join(row).strip():  # blank or whitespace-only row
-            continue
-        if len(row) != len(header):
-            raise ValueError(f"{source}:{lineno}: expected {len(header)} columns")
+    for lineno, row in rows:
         try:
             d = float(row[0])
             pl = float(row[1])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .models import HeightClass, Region, float_field, load_json_object
+from .models import HeightClass, Region, float_field, int_field, load_json_object
 
 DEFAULT_UPPER_HEIGHT_M = 1.2
 DEFAULT_LOWER_HEIGHT_M = 0.7
@@ -186,19 +186,12 @@ def layout_to_dict(layout: BusLayout) -> dict:
     }
 
 
-def _seat_id(seat: dict) -> int:
-    value = float_field(seat, "id")
-    if not value.is_integer():
-        raise ValueError(f"field 'id' must be an integer, got {seat['id']!r}")
-    return int(value)
-
-
 def layout_from_dict(obj: dict) -> BusLayout:
     """Build a layout; every number is read with float_field, which names a bad field."""
     try:
         seats = [
             SeatSpec(
-                id=_seat_id(s),
+                id=int_field(s, "id"),
                 x=float_field(s, "x"),
                 y=float_field(s, "y"),
                 seat_height_m=float_field(s, "seat_height_m", 0.5),

@@ -4,7 +4,7 @@ The model is L(d) = alpha + 10*beta*log10(d) + X, where X is a zero-mean
 Gaussian shadow-fading term with standard deviation sigma (all in dB).
 Ten fitted parameter sets ship with the package, one per seat region
 (A-D plus the pooled "All" set) and transmitter height class. The input and
-output rules every module shares (float_field, load_json_object, csv_text) live here.
+output rules every module shares (read_text, load_json_object, csv_rows, csv_text) live here.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -219,15 +219,31 @@ def float_field(obj: dict, name: str, default: float | None = None) -> float:
     return number
 
 
+def int_field(obj: dict, name: str) -> int:
+    """obj[name] as an int; ValueError names a field that is not an integral number."""
+    value = float_field(obj, name)
+    if not value.is_integer():
+        raise ValueError(f"field {name!r} must be an integer, got {obj[name]!r}")
+    return int(value)
+
+
+def read_text(path: str | Path, kind: str, error=ValueError) -> str:
+    """The text of a UTF-8 file, read with universal newlines. A missing file or
+    one that is not UTF-8 raises error naming the file."""
+    if not Path(path).is_file():
+        raise error(f"{kind} file not found: {path}")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def load_json_object(path: str | Path, kind: str, from_dict, error=ValueError):
     """from_dict(obj) for the JSON object in a file. Every failure (no such file,
     invalid JSON, not an object, a missing or bad field) raises error naming the file."""
-    p = Path(path)
-    if not p.is_file():
-        raise error(f"{kind} file not found: {path}")
     try:
-        obj = json.loads(p.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        obj = json.loads(read_text(path, kind, error))
+    except json.JSONDecodeError as exc:
         raise error(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(obj, dict):
         raise error(f"{path}: {kind} must be a JSON object, not {type(obj).__name__}")
@@ -242,6 +258,36 @@ def load_json_object(path: str | Path, kind: str, from_dict, error=ValueError):
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     """CSV with a header line and "\n" line ends; no cell may need quoting."""
     return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+
+
+def csv_rows(text: str, source, kind: str, columns: Sequence[str],
+             optional: Collection[str] = (), error=ValueError):
+    """The inverse of csv_text: the header's names and a lazy iterator of (line
+    number, cells) over rows not all whitespace. Lines split at line feeds (a
+    carriage return is whitespace), cells at commas, nothing quoted. The header
+    is columns, then optional ones at most once each; error names the bad line."""
+    if not text:
+        raise error(f"{source}: empty {kind} file")
+    lines = iter(text.split("\n"))
+    header = [name.strip() for name in next(lines).split(",")]
+    if header[:len(columns)] != list(columns):
+        raise error(f"{source}:1: header must start with {','.join(columns)}")
+    for i, name in enumerate(header[len(columns):], len(columns)):
+        if name not in optional:
+            raise error(f"{source}:1: unknown column {name!r}")
+        if name in header[:i]:
+            raise error(f"{source}:1: repeated column {name!r}")
+
+    def rows():
+        for lineno, line in enumerate(lines, 2):
+            cells = line.split(",")
+            if not "".join(cells).strip():  # blank or whitespace-only row
+                continue
+            if len(cells) != len(header):
+                raise error(f"{source}:{lineno}: expected {len(header)} columns")
+            yield lineno, cells
+
+    return header, rows()
 
 
 def model_from_dict(obj: dict) -> PathLossModel:

@@ -9,8 +9,6 @@ taken from the median first-peak delay.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import re
@@ -26,8 +24,12 @@ from .models import (
     SPEED_OF_LIGHT,
     HeightClass,
     PathLossModel,
+    csv_rows,
     csv_text,
     float_field,
+    int_field,
+    load_json_object,
+    read_text,
     sample_path_loss,
 )
 
@@ -198,20 +200,10 @@ def pdp_to_csv(pdp: PdpRecord) -> str:
 
 def load_pdp_csv(path: str | Path) -> PdpRecord:
     """Parse one sweep file, reporting the offending line on error."""
-    path = Path(path)
-    reader = csv.reader(io.StringIO(path.read_text(encoding="utf-8")))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise PdpFormatError(f"{path}: empty PDP file") from None
-    if [h.strip() for h in header] != list(PDP_CSV_HEADER):
-        raise PdpFormatError(f"{path}:1: header must be delay_ns,power_db")
+    text = read_text(path, "PDP", PdpFormatError)
+    _, rows = csv_rows(text, path, "PDP", PDP_CSV_HEADER, error=PdpFormatError)
     delays, powers = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not "".join(row).strip():  # blank or whitespace-only row
-            continue
-        if len(row) != 2:
-            raise PdpFormatError(f"{path}:{lineno}: expected 2 columns")
+    for lineno, row in rows:
         try:
             delay = float(row[0])
             power = float(row[1])
@@ -229,7 +221,7 @@ def load_pdp_csv(path: str | Path) -> PdpRecord:
 
 
 _SET_DIR_RE = re.compile(r"^(\d+)_(lower|upper)$")
-_SWEEP_FILE_RE = re.compile(r"^sweep_\d+\.csv$")
+_SWEEP_FILE_RE = re.compile(r"^sweep_(\d+)\.csv$")
 
 
 def load_measurement_dir(root: str | Path) -> list[MeasurementSet]:
@@ -244,26 +236,20 @@ def load_measurement_dir(root: str | Path) -> list[MeasurementSet]:
         match = _SET_DIR_RE.match(entry.name)
         if match is None:
             raise PdpFormatError(f"{entry}: directory name must be <seat>_<height>")
-        seat_from_name = int(match.group(1))
-        height_from_name = HeightClass(match.group(2))
-
         meta_path = entry / "meta.json"
-        if not meta_path.is_file():
-            raise PdpFormatError(f"{meta_path}: missing metadata")
-        try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            seat = int(meta["seat"])
-            height = HeightClass(meta["height"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise PdpFormatError(f"{meta_path}: bad metadata ({exc})") from None
-        if seat != seat_from_name or height != height_from_name:
+        seat, height = load_json_object(meta_path, "metadata", lambda meta: (
+            int_field(meta, "seat"), HeightClass(meta["height"])), PdpFormatError)
+        if (seat, height.value) != (int(match.group(1)), match.group(2)):
             raise PdpFormatError(f"{meta_path}: metadata disagrees with directory name")
 
-        sweeps = []
+        # Sweeps load in the order of their number k, so sweep_10 follows sweep_9.
+        numbered = []
         for sweep_path in sorted(entry.glob("sweep_*.csv")):
-            if _SWEEP_FILE_RE.match(sweep_path.name) is None:
+            match = _SWEEP_FILE_RE.match(sweep_path.name)
+            if match is None:
                 raise PdpFormatError(f"{sweep_path}: file name must be sweep_<k>.csv")
-            sweeps.append(load_pdp_csv(sweep_path))
+            numbered.append((int(match.group(1)), sweep_path))
+        sweeps = [load_pdp_csv(sweep_path) for _, sweep_path in sorted(numbered)]
         if not sweeps:
             raise PdpFormatError(f"{entry}: no sweep files")
         sets.append(MeasurementSet(seat=seat, height=height, sweeps=sweeps))

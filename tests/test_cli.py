@@ -324,6 +324,49 @@ class TestProcessPipeline:
         assert not (tmp_path / "out").exists()
 
 
+# Valid input lines of each CSV reader: a sample file through fit, a sweep file through process.
+CSV_READER_LINES = {
+    "sample": ["distance_m,path_loss_db", "1.0,85.0", "2.0,90.5", "4.0,96.0"],
+    "sweep": ["delay_ns,power_db", "13.0,-90.0", "14.0,-95.0", "15.0,-97.5"],
+}
+
+
+class TestCsvInputs:
+    # (row inserted as line 3, line end, expected stderr with {path}; None: the
+    # output of the valid file). The text is written as Latin-1.
+    @pytest.mark.parametrize("row, newline, error", [
+        ("1.5," + "1" * 200_000, "\n", "{path}:3: "),
+        ("1.5,9\xe9", "\n", "{path}: not UTF-8"),
+        ('"1.5",90.0', "\n", "{path}:3: non-numeric value"),
+        (None, "\r\n", None),
+        (",", "\n", None),
+    ], ids=["long cell", "latin-1 byte", "quoted cell", "crlf", "comma-only row"])
+    @pytest.mark.parametrize("reader", sorted(CSV_READER_LINES))
+    def test_reader_boundary(self, capsys, tmp_path, reader, row, newline, error):
+        lines = CSV_READER_LINES[reader]
+        if reader == "sample":
+            path = tmp_path / "samples.csv"
+            argv = ["fit", str(path)]
+        else:
+            path = write_set(tmp_path / "pdp", [[]]) / "14_upper" / "sweep_0.csv"
+            cal = tmp_path / "cal.json"
+            cal.write_text('{"radiated_power_db": 0.0}')
+            argv = ["process", str(tmp_path / "pdp"), str(cal)]
+
+        path.write_text("\n".join(lines) + "\n")
+        code, valid_out, _ = run(capsys, *argv)
+        assert code == 0
+        changed = lines if row is None else [*lines[:2], row, *lines[2:]]
+        path.write_bytes((newline.join(changed) + newline).encode("latin-1"))
+        code, out, err = run(capsys, *argv)
+        if error is None:
+            assert (code, out, err) == (0, valid_out, "")
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: " + error.format(path=path))
+            assert err.count("\n") == 1
+
+
 class TestSynth:
     def test_same_seed_identical(self, capsys):
         _, out_a, _ = run(capsys, "synth", "--model", "All/upper", "--height", "upper", "--seed", "5")
@@ -342,6 +385,17 @@ class TestSynth:
         assert out == ""
         assert "n_sweeps must be between 1 and 1000" in err
         assert not (tmp_path / "pdp").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--model", "All/upper", "--height", "upper"],
+        ["footprint", "--height", "upper", "--active", "14"],
+    ])
+    def test_negative_seed_names_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "argument --seed: must be a non-negative integer, got -1" in captured.err
 
     def test_lower_omits_excluded_seats(self, capsys):
         _, out, _ = run(capsys, "synth", "--model", "All/lower", "--height", "lower", "--seed", "1")

@@ -16,16 +16,19 @@ from busloss.models import (
     builtin_registry,
     compare_models,
     coverage_probability,
+    csv_rows,
     csv_text,
     float_field,
     from_combined_form,
     fspl,
+    int_field,
     is_extrapolated,
     load_json_object,
     mean_path_loss,
     model_from_dict,
     model_from_json,
     model_to_json,
+    read_text,
     sample_path_loss,
     to_combined_form,
 )
@@ -257,3 +260,41 @@ class TestInputHelpers:
     def test_csv_text(self):
         assert csv_text(("a", "b"), [("1", "2"), ("3", "")]) == "a,b\n1,2\n3,\n"
         assert csv_text(("a",), []) == "a\n"
+
+    def test_csv_rows_inverts_csv_text(self):
+        text = csv_text(("a", "b", "c"), [("1", "", "x"), (" ", " ", ""), ("2", "3", "y")])
+        header, rows = csv_rows(text, "t.csv", "test", ("a",), ("c", "b"))
+        assert header == ["a", "b", "c"]
+        assert list(rows) == [(2, ["1", "", "x"]), (4, ["2", "3", "y"])]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("", "t.csv: empty test file"),
+        ("b,a\n", "t.csv:1: header must start with a"),
+        ("a,d\n", "t.csv:1: unknown column 'd'"),
+        ("a,b,b\n", "t.csv:1: repeated column 'b'"),
+    ])
+    def test_csv_rows_header_errors(self, text, expected):
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            csv_rows(text, "t.csv", "test", ("a",), ("b",))
+
+    def test_csv_rows_is_lazy(self):
+        _, rows = csv_rows("a,b\r\n1,2\r\n1,2,3\n", "t.csv", "test", ("a", "b"))
+        assert next(rows) == (2, ["1", "2\r"])
+        with pytest.raises(ValueError, match="^t.csv:3: expected 2 columns$"):
+            next(rows)
+
+    def test_read_text_names_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"a\r\nb\xe9")
+        with pytest.raises(ValueError, match="s.csv: not UTF-8 text"):
+            read_text(path, "sample")
+        path.write_bytes(b"a\r\nb\r")
+        assert read_text(path, "sample") == "a\nb\n"
+        with pytest.raises(ValueError, match="^sample file not found: none.csv$"):
+            read_text("none.csv", "sample")
+
+    @pytest.mark.parametrize("value", [1.5, "x", None, math.inf])
+    def test_int_field_names_bad_field(self, value):
+        with pytest.raises(ValueError, match="field 'seat' must be"):
+            int_field({"seat": value}, "seat")
+        assert int_field({"seat": 14.0}, "seat") == 14

@@ -238,20 +238,20 @@ class TestMeasurementIo:
             MeasurementSet(
                 seat=seat,
                 height=height,
-                sweeps=[make_pdp([13.5], [-99.4 - k]) for k in range(3)],
+                sweeps=[make_pdp([13.5], [-99.4 - k]) for k in range(12)],
             )
             for seat, height in [(1, HeightClass.UPPER), (2, HeightClass.LOWER)]
         ]
         write_measurement_dir(tmp_path / "out", sets)
         back = load_measurement_dir(tmp_path / "out")
         assert [(s.seat, s.height, len(s.sweeps)) for s in back] == [
-            (1, HeightClass.UPPER, 3),
-            (2, HeightClass.LOWER, 3),
+            (1, HeightClass.UPPER, 12),
+            (2, HeightClass.LOWER, 12),
         ]
-        # sweep files are named by position, so the order survives
-        assert [rec.powers_db.tolist() for rec in back[0].sweeps] == [[-99.4], [-100.4], [-101.4]]
+        # sweep files are named by position, so the order survives, past sweep_9 too
+        assert [rec.powers_db.tolist() for rec in back[0].sweeps] == [[-99.4 - k] for k in range(12)]
         assert sorted(p.name for p in (tmp_path / "out" / "1_upper").iterdir()) == [
-            "meta.json", "sweep_0.csv", "sweep_1.csv", "sweep_2.csv"
+            "meta.json", *sorted(f"sweep_{k}.csv" for k in range(12))
         ]
 
     def test_seventy_two_sets(self, tmp_path):

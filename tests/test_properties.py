@@ -1,5 +1,6 @@
-"""Property tests: any JSON value in an input file ends in a clean exit, and
-each CSV reader gives back exactly what its writer wrote."""
+"""Property tests: any JSON value in an input file, and any bytes in a CSV
+file, ends in a clean exit, and each CSV reader gives back exactly what its
+writer wrote."""
 
 import contextlib
 import io
@@ -70,16 +71,21 @@ BUDGET_FIELDS = ("tx_power_dbm", "g_tx_dbi", "g_rx_dbi", "bandwidth_hz", "noise_
                  "snr_threshold_db")
 CALIBRATION_FIELDS = ("radiated_power_db", "g_tx_dbi", "g_rx_dbi", "noise_threshold_db")
 
-# (argv with {f} for the JSON file and {d} for a valid measurement tree, file contents)
+# kind: (file, argv, file contents). In argv, {f} is the file and {w} the work
+# directory, which holds a valid measurement tree pdp/ and calibration cal.json.
 CASES = {
-    "model": (["eval", "--model", "{f}", "--distances", "1:2:1"],
+    "model": ("model.json", ["eval", "--model", "{f}", "--distances", "1:2:1"],
               json_values | objects_with(MODEL_FIELDS)),
-    "budget": (["sweep", "--height", "upper", "--config", "{f}"],
+    "budget": ("budget.json", ["sweep", "--height", "upper", "--config", "{f}"],
                json_values | objects_with(BUDGET_FIELDS)),
-    "calibration": (["process", "{d}", "{f}"],
+    "calibration": ("calibration.json", ["process", "{w}/pdp", "{f}"],
                     json_values | objects_with(CALIBRATION_FIELDS)),
-    "layout": (["sweep", "--height", "upper", "--layout", "{f}"],
+    "layout": ("layout.json", ["sweep", "--height", "upper", "--layout", "{f}"],
                json_values | objects_with(SHIPPED_LAYOUT) | mutated_layouts()),
+    "metadata": ("meta/14_upper/meta.json", ["process", "{w}/meta", "{w}/cal.json"],
+                 json_values | objects_with(("seat", "height")) | st.fixed_dictionaries({
+                     "seat": st.integers(13, 15) | st.floats(13, 15),
+                     "height": st.sampled_from([h.value for h in HeightClass])})),
 }
 
 
@@ -87,26 +93,27 @@ CASES = {
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("properties")
     sweeps = [PdpRecord([13.5, 20.0], [-90.0, -101.0]) for _ in range(2)]
-    write_measurement_dir(root / "pdp", [MeasurementSet(14, HeightClass.UPPER, sweeps)])
+    for tree in ("pdp", "meta"):
+        write_measurement_dir(root / tree, [MeasurementSet(14, HeightClass.UPPER, sweeps)])
+    (root / "cal.json").write_text('{"radiated_power_db": 0.0}')
     return root
 
 
 @pytest.mark.parametrize("kind", sorted(CASES))
 def test_any_json_input_exits_cleanly(workdir, kind):
-    argv, contents = CASES[kind]
-    path = workdir / f"{kind}.json"
+    file, argv, contents = CASES[kind]
+    path = workdir / file
 
     @PROPERTY
     @given(contents)
     def check(value):
         path.write_text(json.dumps(value))
-        code, err = run_cli([a.format(f=path, d=workdir / "pdp") for a in argv])
+        code, err = run_cli([a.format(f=path, w=workdir) for a in argv])
         assert code in (0, 2, 3, 4)
         if code != 0:
             assert str(path) in err
 
     check()
-
 
 
 @st.composite
@@ -228,5 +235,32 @@ def test_any_sweep_rows_exit_cleanly(tmp_path):
         assert code in (0, 2)
         if code == 2:
             assert err.startswith((f"error: {entry}", "error: 14_upper: "))
+
+    check()
+
+
+@pytest.mark.parametrize("reader", ["sample", "sweep"])
+def test_any_bytes_exit_cleanly(tmp_path, reader):
+    """Any bytes as a sample file for fit or a sweep file for process, half the
+    time after the right header line."""
+    cal = tmp_path / "cal.json"
+    cal.write_text('{"radiated_power_db": 0.0}')
+    write_measurement_dir(tmp_path / "pdp", [MeasurementSet(14, HeightClass.UPPER, [])])
+    path, argv, header = {
+        "sample": (tmp_path / "samples.csv", ["fit", tmp_path / "samples.csv"],
+                   b"distance_m,path_loss_db\n"),
+        "sweep": (tmp_path / "pdp" / "14_upper" / "sweep_0.csv", ["process", tmp_path / "pdp", cal],
+                  b"delay_ns,power_db\n"),
+    }[reader]
+
+    # A sweep file that parses can still fail as a set, which names its directory.
+    @PROPERTY
+    @given(st.binary() | st.binary().map(lambda data: header + data))
+    def check(data):
+        path.write_bytes(data)
+        code, err = run_cli(argv)
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert err.startswith((f"error: {path}", "error: 14_upper: "))
 
     check()
