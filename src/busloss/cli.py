@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .models import (
     builtin_registry,
     compare_models,
     csv_text,
+    float_record,
     is_extrapolated,
     load_json_object,
     mean_path_loss,
@@ -77,7 +79,7 @@ def _resolve_model(spec: str) -> PathLossModel:
 def _resolve_config(path: str | None) -> linkbudget.LinkBudgetConfig:
     if path is None:
         return linkbudget.LinkBudgetConfig()
-    return load_json_object(path, "budget config", linkbudget.config_from_dict)
+    return load_json_object(path, "budget config", partial(float_record, linkbudget.LinkBudgetConfig))
 
 
 def _resolve_layout(path: str | None) -> geometry.BusLayout:
@@ -126,8 +128,11 @@ def _parse_range(spec: str) -> np.ndarray:
 def _write_output(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {output}: {exc.strerror}") from None
 
 
 def _write_table(args, items, to_dict, to_csv) -> int:
@@ -159,11 +164,9 @@ def cmd_fit(args) -> int:
                 {"region": r.value, "height": h.value, "n": n}
                 for r, h, n in partition.skipped
             ]
-        _write_output(json.dumps(out, indent=2) + "\n", args.output)
-        return EXIT_OK
-
-    result = fitmod.fit_log_distance(samples)
-    _write_output(json.dumps(fitmod.fit_result_to_dict(result), indent=2) + "\n", args.output)
+    else:
+        out = fitmod.fit_result_to_dict(fitmod.fit_log_distance(samples))
+    _write_output(json.dumps(out, indent=2) + "\n", args.output)
     return EXIT_OK
 
 
@@ -231,8 +234,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+def _load_calibration(path: str) -> pdp.LinkCalibration:
+    return load_json_object(path, "calibration", partial(float_record, pdp.LinkCalibration))
+
+
 def cmd_process(args) -> int:
-    cal = load_json_object(args.calibration, "calibration", pdp.calibration_from_dict)
+    cal = _load_calibration(args.calibration)
     sets = pdp.load_measurement_dir(args.measurement_dir)
     layout = _resolve_layout(args.layout) if args.layout else None
     samples = pdp.measurements_to_samples(sets, cal, layout)
@@ -250,17 +257,18 @@ def cmd_synth(args) -> int:
     if args.pdp_dir is not None:
         if args.calibration is None:
             raise ValueError("--pdp-dir requires --calibration")
-        cal = load_json_object(args.calibration, "calibration", pdp.calibration_from_dict)
+        cal = _load_calibration(args.calibration)
         sets = pdp.synth_measurements(
             model, zip(seat_ids, distances), height, cal, args.sweeps, args.seed
         )
         pdp.write_measurement_dir(args.pdp_dir, sets)
         return EXIT_OK
 
-    samples = fitmod.synth_samples(model, distances, args.seed)
-    samples.seat = list(seat_ids)
-    samples.region = [layout.seat(s).group for s in seat_ids]
-    samples.height = [height] * len(seat_ids)
+    drawn = fitmod.synth_samples(model, distances, args.seed)
+    samples = fitmod.SampleSet(
+        drawn.distance_m, drawn.path_loss_db, seat=list(seat_ids),
+        region=[layout.seat(s).group for s in seat_ids], height=[height] * len(seat_ids),
+    )
     _write_output(fitmod.samples_to_csv(samples), args.output)
     return EXIT_OK
 

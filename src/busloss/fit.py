@@ -48,6 +48,8 @@ class SampleSet:
             raise ValueError("distance and path loss arrays must match in length")
         if np.any(~np.isfinite(self.distance_m)) or np.any(self.distance_m <= 0):
             raise ValueError("all distances must be finite and > 0")
+        if np.any(~np.isfinite(self.path_loss_db)):
+            raise ValueError("all path losses must be finite")
         for name in SAMPLE_TAGS:
             tags = getattr(self, name)
             if tags is not None and len(tags) != len(self.distance_m):

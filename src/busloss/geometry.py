@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .models import HeightClass, Region, float_field, int_field, load_json_object
+from .models import HeightClass, Region, float_field, float_record, int_field, load_json_object
 
 DEFAULT_UPPER_HEIGHT_M = 1.2
 DEFAULT_LOWER_HEIGHT_M = 0.7
@@ -204,7 +204,7 @@ def layout_from_dict(obj: dict) -> BusLayout:
         return BusLayout(
             length_m=float_field(obj, "length_m"),
             width_m=float_field(obj, "width_m"),
-            rx=Point3(float_field(rx, "x"), float_field(rx, "y"), float_field(rx, "z")),
+            rx=float_record(Point3, rx),
             seats=seats,
             upper_height_m=float_field(obj, "upper_height_m", DEFAULT_UPPER_HEIGHT_M),
             lower_height_m=float_field(obj, "lower_height_m", DEFAULT_LOWER_HEIGHT_M),
@@ -219,9 +219,3 @@ def layout_from_dict(obj: dict) -> BusLayout:
 def load_layout(path: str | Path) -> BusLayout:
     """Load and validate a layout JSON file; every failure is a LayoutError naming the file."""
     return load_json_object(path, "layout", layout_from_dict, LayoutError)
-
-
-def save_layout(layout: BusLayout, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(layout_to_dict(layout), indent=2) + "\n", encoding="utf-8"
-    )

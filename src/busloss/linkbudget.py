@@ -20,7 +20,6 @@ from .models import (
     Region,
     coverage_probability,
     csv_text,
-    float_field,
     is_extrapolated,
     mean_path_loss,
 )
@@ -101,6 +100,11 @@ def link_snr(config: LinkBudgetConfig, pl_db: float) -> float:
     return rx_power_dbm(config, pl_db) - noise_floor_dbm(config)
 
 
+def max_path_loss_db(config: LinkBudgetConfig) -> float:
+    """The largest path loss at which a link's SNR still clears the threshold."""
+    return link_snr(config, 0.0) - config.snr_threshold_db
+
+
 def shannon_rate(snr_db: float, bandwidth_hz: float) -> float:
     """Shannon capacity in bit/s."""
     if not bandwidth_hz > 0:
@@ -138,7 +142,7 @@ def seat_sweep(
     Coverage is the analytic probability that path loss stays below the
     budget margin implied by the SNR threshold.
     """
-    pl_max = link_snr(config, 0.0) - config.snr_threshold_db
+    pl_max = max_path_loss_db(config)
     seat_ids = seats_in_group(layout, Region.ALL, height)
     reports = []
     for seat_id, model, d, pl in _seat_links(layout, models, height, seat_ids, use_all_model):
@@ -210,6 +214,7 @@ def interference_footprint(
         layout, models, height, active_seats, use_all_model, seed, n_draws
     )
     rx_mw = 10.0 ** (rx_power_dbm(config, pl_db) / 10.0)
+    del pl_db  # one (n_draws, k) array fewer alive beside the SINR temporaries
     noise_mw = 10.0 ** (noise_floor_dbm(config) / 10.0)
     total_mw = rx_mw.sum(axis=1, keepdims=True)
     sinr_db = 10.0 * np.log10(rx_mw / (noise_mw + total_mw - rx_mw))
@@ -237,15 +242,8 @@ def empirical_coverage(
     """Fraction of shadowing draws whose SNR clears the threshold, per seat."""
     seat_ids = seats_in_group(layout, Region.ALL, height)
     pl_db = _shadowed_path_loss(layout, models, height, seat_ids, use_all_model, seed, n_draws)
-    fractions = np.mean(link_snr(config, pl_db) >= config.snr_threshold_db, axis=0)
+    fractions = np.mean(pl_db <= max_path_loss_db(config), axis=0)
     return {seat_id: float(fractions[i]) for i, seat_id in enumerate(seat_ids)}
-
-
-def config_from_dict(obj: dict) -> LinkBudgetConfig:
-    """Budget config from a JSON object; absent fields take their defaults."""
-    return LinkBudgetConfig(
-        **{f.name: float_field(obj, f.name, f.default) for f in fields(LinkBudgetConfig)}
-    )
 
 
 def reports_to_csv(reports: Sequence[SeatReport]) -> str:

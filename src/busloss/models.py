@@ -3,15 +3,15 @@
 The model is L(d) = alpha + 10*beta*log10(d) + X, where X is a zero-mean
 Gaussian shadow-fading term with standard deviation sigma (all in dB).
 Ten fitted parameter sets ship with the package, one per seat region
-(A-D plus the pooled "All" set) and transmitter height class. The input and
-output rules every module shares (read_text, load_json_object, csv_rows, csv_text) live here.
+(A-D plus the pooled "All" set) and transmitter height class. The shared
+I/O helpers (read_text, load_json_object, float_record, csv_rows, csv_text) live here.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
@@ -207,9 +207,9 @@ def model_to_dict(model: PathLossModel) -> dict:
     }
 
 
-def float_field(obj: dict, name: str, default: float | None = None) -> float:
-    """obj[name] as a float, or default if absent; ValueError names a non-numeric or NaN field."""
-    value = obj[name] if default is None else obj.get(name, default)
+def float_field(obj: dict, name: str, default=MISSING) -> float:
+    """obj[name] as a float, or default if given and absent; ValueError if not a number or NaN."""
+    value = obj[name] if default is MISSING else obj.get(name, default)
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -217,6 +217,12 @@ def float_field(obj: dict, name: str, default: float | None = None) -> float:
     if math.isnan(number):
         raise ValueError(f"field {name!r} must be a number, got {value!r}")
     return number
+
+
+def float_record(cls, obj: dict):
+    """cls(...) with each dataclass field read from obj by float_field, in field
+    order; an absent field takes its dataclass default, one without a default is required."""
+    return cls(**{f.name: float_field(obj, f.name, f.default) for f in fields(cls)})
 
 
 def int_field(obj: dict, name: str) -> int:
@@ -228,10 +234,12 @@ def int_field(obj: dict, name: str) -> int:
 
 
 def read_text(path: str | Path, kind: str, error=ValueError) -> str:
-    """The text of a UTF-8 file, read with universal newlines. A missing file or
-    one that is not UTF-8 raises error naming the file."""
-    if not Path(path).is_file():
+    """The text of a UTF-8 file, read with universal newlines. A missing path, one
+    that is not a regular file, or a file that is not UTF-8 raises error naming it."""
+    if not Path(path).exists():
         raise error(f"{kind} file not found: {path}")
+    if not Path(path).is_file():
+        raise error(f"{path}: not a regular file")
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -305,7 +313,3 @@ def model_from_dict(obj: dict) -> PathLossModel:
 def model_to_json(model: PathLossModel) -> str:
     """Serialize with full float precision (repr round-trips exactly)."""
     return json.dumps(model_to_dict(model))
-
-
-def model_from_json(text: str) -> PathLossModel:
-    return model_from_dict(json.loads(text))

@@ -26,7 +26,6 @@ from .models import (
     PathLossModel,
     csv_rows,
     csv_text,
-    float_field,
     int_field,
     load_json_object,
     read_text,
@@ -56,6 +55,8 @@ class PdpRecord:
         self.powers_db = np.asarray(self.powers_db, dtype=float)
         if self.delays_ns.shape != self.powers_db.shape:
             raise ValueError("delay and power arrays must match in length")
+        if np.any(~np.isfinite(self.delays_ns)):
+            raise ValueError("all delays must be finite")
         if self.delays_ns.size and np.any(np.diff(self.delays_ns) <= 0):
             raise ValueError("delays must be strictly increasing")
         if np.any(~np.isfinite(self.powers_db)):
@@ -180,12 +181,9 @@ def synth_measurements(
     sets = []
     for seat_id, d in links:
         delay_ns = d / SPEED_OF_LIGHT * 1e9
-        sweeps = []
-        for _ in range(n_sweeps):
-            loss = sample_path_loss(model, d, rng)
-            power = cal.radiated_power_db + cal.g_tx_dbi + cal.g_rx_dbi - loss
-            sweeps.append(PdpRecord([delay_ns], [power]))
-        sets.append(MeasurementSet(seat=seat_id, height=height, sweeps=sweeps))
+        losses = sample_path_loss(model, d, rng, size=n_sweeps)
+        powers = cal.radiated_power_db + cal.g_tx_dbi + cal.g_rx_dbi - losses
+        sets.append(MeasurementSet(seat_id, height, [PdpRecord([delay_ns], [p]) for p in powers]))
     return sets
 
 
@@ -257,24 +255,19 @@ def load_measurement_dir(root: str | Path) -> list[MeasurementSet]:
 
 
 def write_measurement_dir(root: str | Path, sets: list[MeasurementSet]) -> None:
-    """Write measurement sets in the layout load_measurement_dir reads."""
+    """Write measurement sets in the layout load_measurement_dir reads; a path
+    that cannot be written raises ValueError naming it."""
     root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    for mset in sets:
-        entry = root / f"{mset.seat}_{mset.height.value}"
-        entry.mkdir(exist_ok=True)
-        (entry / "meta.json").write_text(
-            json.dumps({"seat": mset.seat, "height": mset.height.value}) + "\n",
-            encoding="utf-8",
-        )
-        for k, rec in enumerate(mset.sweeps):
-            (entry / f"sweep_{k}.csv").write_text(pdp_to_csv(rec), encoding="utf-8")
-
-
-def calibration_from_dict(obj: dict) -> LinkCalibration:
-    return LinkCalibration(
-        radiated_power_db=float_field(obj, "radiated_power_db"),
-        g_tx_dbi=float_field(obj, "g_tx_dbi", 2.0),
-        g_rx_dbi=float_field(obj, "g_rx_dbi", 2.0),
-        noise_threshold_db=float_field(obj, "noise_threshold_db", DEFAULT_NOISE_THRESHOLD_DB),
-    )
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+        for mset in sets:
+            entry = root / f"{mset.seat}_{mset.height.value}"
+            entry.mkdir(exist_ok=True)
+            (entry / "meta.json").write_text(
+                json.dumps({"seat": mset.seat, "height": mset.height.value}) + "\n",
+                encoding="utf-8",
+            )
+            for k, rec in enumerate(mset.sweeps):
+                (entry / f"sweep_{k}.csv").write_text(pdp_to_csv(rec), encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {exc.filename or root}: {exc.strerror}") from None

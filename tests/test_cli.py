@@ -367,6 +367,36 @@ class TestCsvInputs:
             assert err.count("\n") == 1
 
 
+class TestFilePaths:
+    @pytest.mark.parametrize("argv, target", [
+        (["eval", "--model", "All/upper", "--distances", "1:2:1", "-o", "{t}"], "missing/x.csv"),
+        (["synth", "--model", "All/upper", "--height", "upper", "--seed", "1",
+          "--pdp-dir", "{t}", "--calibration", "{cal}"], "a_file"),
+    ], ids=["-o in a missing directory", "--pdp-dir on a file"])
+    def test_unwritable_output_exit_2(self, capsys, tmp_path, argv, target):
+        cal = tmp_path / "cal.json"
+        cal.write_text('{"radiated_power_db": 0.0}')
+        (tmp_path / "a_file").write_text("")
+        path = tmp_path / target
+        code, out, err = run(capsys, *[a.format(t=path, cal=cal) for a in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
+
+    def test_directory_as_model_named(self, capsys, tmp_path):
+        code, out, err = run(capsys, "eval", "--model", str(tmp_path), "--distances", "1:2:1")
+        assert (code, out, err) == (2, "", f"error: {tmp_path}: not a regular file\n")
+
+    def test_directory_as_sweep_named(self, capsys, tmp_path):
+        sweep = write_set(tmp_path / "pdp", [["13.0,-90"], ["13.0,-91"]]) / "14_upper" / "sweep_1.csv"
+        sweep.unlink()
+        sweep.mkdir()
+        cal = tmp_path / "cal.json"
+        cal.write_text('{"radiated_power_db": 0.0}')
+        code, out, err = run(capsys, "process", str(tmp_path / "pdp"), str(cal))
+        assert (code, out, err) == (2, "", f"error: {sweep}: not a regular file\n")
+
+
 class TestSynth:
     def test_same_seed_identical(self, capsys):
         _, out_a, _ = run(capsys, "synth", "--model", "All/upper", "--height", "upper", "--seed", "5")

@@ -78,6 +78,11 @@ class TestFitLogDistance:
                 SampleSet(np.array([1.0, 2.0, 3.0]), np.array([1e308, -1e308, 1e308]))
             )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_path_loss_rejected(self, value):
+        with pytest.raises(ValueError, match="all path losses must be finite"):
+            SampleSet(np.array([1.0, 2.0, 3.0]), np.array([value, 1.0, 2.0]))
+
     def test_residual_orthogonality(self):
         model = builtin_model(Region.B, HeightClass.LOWER)
         result = fit_log_distance(synth_samples(model, np.linspace(1, 12, 500), seed=9))

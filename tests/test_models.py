@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from busloss.models import (
     csv_rows,
     csv_text,
     float_field,
+    float_record,
     from_combined_form,
     fspl,
     int_field,
@@ -26,7 +28,6 @@ from busloss.models import (
     load_json_object,
     mean_path_loss,
     model_from_dict,
-    model_from_json,
     model_to_json,
     read_text,
     sample_path_loss,
@@ -198,7 +199,7 @@ class TestCompareModels:
 class TestModelJson:
     def test_round_trip_bit_exact(self):
         for model in builtin_models():
-            assert model_from_json(model_to_json(model)) == model
+            assert model_from_dict(json.loads(model_to_json(model))) == model
 
     def test_schema_fields(self):
         obj = json.loads(model_to_json(ALL_UPPER))
@@ -236,6 +237,18 @@ class TestInputHelpers:
     def test_float_field_default_and_infinity(self):
         assert float_field({}, "g", 2.0) == 2.0
         assert float_field({"g": "-inf"}, "g") == -math.inf
+
+    def test_float_record_reads_fields_in_order(self):
+        @dataclass(frozen=True)
+        class Record:
+            a: float
+            b: float = 2.0
+
+        assert float_record(Record, {"a": "1"}) == Record(1.0, 2.0)
+        with pytest.raises(KeyError, match="'a'"):
+            float_record(Record, {"b": 3.0})
+        with pytest.raises(ValueError, match="field 'a'"):
+            float_record(Record, {"a": "x", "b": "y"})
 
     def test_load_json_object_names_file(self, tmp_path):
         class ModelFileError(ValueError):

@@ -188,6 +188,12 @@ class TestPdpValidation:
         with pytest.raises(ValueError):
             make_pdp([1.0], [np.inf])
 
+    # A NaN step passes the strictly-increasing check, so finiteness is checked first.
+    @pytest.mark.parametrize("delays", [[np.nan, 1.0], [1.0, np.inf]])
+    def test_non_finite_delay_rejected(self, delays):
+        with pytest.raises(ValueError, match="all delays must be finite"):
+            make_pdp(delays, [0.0, 0.0])
+
 
 class TestMeasurementIo:
     def test_csv_round_trip(self, tmp_path):
