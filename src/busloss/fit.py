@@ -9,11 +9,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import is_
 from typing import Sequence
 
 import numpy as np
 
-from .models import HeightClass, PathLossModel, Region, csv_rows, csv_text, model_to_dict
+from .models import (
+    HeightClass,
+    PathLossModel,
+    Region,
+    csv_columns,
+    csv_text,
+    float_rows,
+    model_to_dict,
+    raise_first_bad_row,
+)
 
 
 class InsufficientDataError(ValueError):
@@ -176,33 +187,48 @@ def samples_to_csv(samples: SampleSet) -> str:
     return csv_text(header, zip(*columns))
 
 
+# The tag of a cell its column's parser rejects.
+_BAD_TAG = object()
+
+
+def _tag_column(parse, table: dict, cells: list[str]) -> list:
+    """The tags of one column's cells. table maps each distinct cell parsed so
+    far to its tag: None for a blank cell, _BAD_TAG for one parse rejects."""
+    for cell in set(cells).difference(table):
+        text = cell.strip()
+        try:
+            table[cell] = parse(text) if text else None
+        except ValueError:
+            table[cell] = _BAD_TAG
+    return list(map(table.__getitem__, cells))
+
+
 def samples_from_csv(text: str, source: str = "<string>") -> SampleSet:
     """Parse the sample CSV schema, naming the offending line on error."""
-    header, rows = csv_rows(text, source, "sample", ("distance_m", "path_loss_db"), SAMPLE_TAGS)
-    tags = {name: [] for name in header[2:]}
-    # (append, parse, column) per tag column, bound once: a lookup by name per cell is slow.
-    cells = [(tags[name].append, SAMPLE_TAGS[name], i) for i, name in enumerate(header[2:], 2)]
-
-    distances, losses = [], []
-    for lineno, row in rows:
-        try:
-            d = float(row[0])
-            pl = float(row[1])
-        except ValueError:
-            raise ValueError(f"{source}:{lineno}: non-numeric value") from None
-        if not math.isfinite(d) or d <= 0:
-            raise ValueError(f"{source}:{lineno}: distance must be > 0")
-        if not math.isfinite(pl):
-            raise ValueError(f"{source}:{lineno}: path loss must be finite")
+    header, blocks = csv_columns(text, source, "sample", ("distance_m", "path_loss_db"),
+                                 SAMPLE_TAGS)
+    names = header[2:]
+    tables = {name: {} for name in names}
+    distances, losses, tags = [np.empty(0)], [np.empty(0)], {name: [] for name in names}
+    for linenos, (distance_cells, loss_cells, *tag_cells) in blocks:
+        d, pl = float_rows(distance_cells, loss_cells)
+        rows = len(d)
+        columns = [_tag_column(SAMPLE_TAGS[name], tables[name], cells)
+                   for name, cells in zip(names, tag_cells)]
+        bad_tag = np.zeros(rows, dtype=bool)
+        for name, column in zip(names, columns):
+            if _BAD_TAG in tables[name].values():
+                bad_tag |= np.fromiter(map(is_, column[:rows], repeat(_BAD_TAG)), bool, rows)
+        raise_first_bad_row(ValueError, source, linenos, rows, [
+            (~np.isfinite(d) | (d <= 0), "distance must be > 0"),
+            (~np.isfinite(pl), "path loss must be finite"),
+            (bad_tag, "bad tag value"),
+        ])
         distances.append(d)
         losses.append(pl)
-        try:
-            for append, parse, i in cells:
-                cell = row[i].strip()
-                append(parse(cell) if cell else None)
-        except ValueError:
-            raise ValueError(f"{source}:{lineno}: bad tag value") from None
-    return SampleSet(np.asarray(distances), np.asarray(losses), **tags)
+        for name, column in zip(names, columns):
+            tags[name] += column
+    return SampleSet(np.concatenate(distances), np.concatenate(losses), **tags)
 
 
 def fit_result_to_dict(result: FitResult) -> dict:

@@ -24,10 +24,12 @@ from .models import (
     SPEED_OF_LIGHT,
     HeightClass,
     PathLossModel,
-    csv_rows,
+    csv_columns,
     csv_text,
+    float_rows,
     int_field,
     load_json_object,
+    raise_first_bad_row,
     read_text,
     sample_path_loss,
 )
@@ -199,23 +201,20 @@ def pdp_to_csv(pdp: PdpRecord) -> str:
 def load_pdp_csv(path: str | Path) -> PdpRecord:
     """Parse one sweep file, reporting the offending line on error."""
     text = read_text(path, "PDP", PdpFormatError)
-    _, rows = csv_rows(text, path, "PDP", PDP_CSV_HEADER, error=PdpFormatError)
-    delays, powers = [], []
-    for lineno, row in rows:
-        try:
-            delay = float(row[0])
-            power = float(row[1])
-        except ValueError:
-            raise PdpFormatError(f"{path}:{lineno}: non-numeric value") from None
-        if not (math.isfinite(delay) and math.isfinite(power)):
-            raise PdpFormatError(f"{path}:{lineno}: values must be finite")
-        if delays and delay <= delays[-1]:
-            raise PdpFormatError(f"{path}:{lineno}: delays must strictly increase")
+    _, blocks = csv_columns(text, path, "PDP", PDP_CSV_HEADER, error=PdpFormatError)
+    delays, powers, last = [], [], -math.inf
+    for linenos, (delay_cells, power_cells) in blocks:
+        delay, power = float_rows(delay_cells, power_cells)
+        raise_first_bad_row(PdpFormatError, path, linenos, len(delay), [
+            (~(np.isfinite(delay) & np.isfinite(power)), "values must be finite"),
+            (delay <= np.append(last, delay[:-1]), "delays must strictly increase"),
+        ])
         delays.append(delay)
         powers.append(power)
+        last = delay[-1]
     if not delays:
         raise PdpFormatError(f"{path}: no delay bins")
-    return PdpRecord(np.asarray(delays), np.asarray(powers))
+    return PdpRecord(np.concatenate(delays), np.concatenate(powers))
 
 
 _SET_DIR_RE = re.compile(r"^(\d+)_(lower|upper)$")
@@ -255,13 +254,18 @@ def load_measurement_dir(root: str | Path) -> list[MeasurementSet]:
 
 
 def write_measurement_dir(root: str | Path, sets: list[MeasurementSet]) -> None:
-    """Write measurement sets in the layout load_measurement_dir reads; a path
-    that cannot be written raises ValueError naming it."""
+    """Write measurement sets in the layout load_measurement_dir reads. A set
+    directory that already holds sweep files, which would join the new ones,
+    or a path that cannot be written raises ValueError naming it; nothing is
+    written when a set directory holds sweep files."""
     root = Path(root)
+    entries = [root / f"{mset.seat}_{mset.height.value}" for mset in sets]
+    for entry in entries:
+        if any(entry.glob("sweep_*.csv")):
+            raise ValueError(f"cannot write {entry}: already holds sweep files")
     try:
         root.mkdir(parents=True, exist_ok=True)
-        for mset in sets:
-            entry = root / f"{mset.seat}_{mset.height.value}"
+        for mset, entry in zip(sets, entries):
             entry.mkdir(exist_ok=True)
             (entry / "meta.json").write_text(
                 json.dumps({"seat": mset.seat, "height": mset.height.value}) + "\n",

@@ -196,6 +196,28 @@ class TestJsonInputs:
         assert str(path) in err
         assert "tx_power_dbm" in err
 
+    # JSON true and "7" are not numbers, though float() takes both.
+    @pytest.mark.parametrize("value", [True, "7"], ids=["true", "text"])
+    @pytest.mark.parametrize("argv, base, where", [
+        (["sweep", "--height", "upper", "--config", "{f}"], {}, ["tx_power_dbm"]),
+        (["process", "{d}", "{f}"], {}, ["radiated_power_db"]),
+        (["eval", "--model", "{f}", "--distances", "1:2:1"], OTHER_MODEL, ["beta"]),
+        (["sweep", "--height", "upper", "--layout", "{f}"], layout_to_dict(default_layout()),
+         ["seats", 3, "x"]),
+    ], ids=["budget", "calibration", "model", "layout"])
+    def test_bool_or_text_number_exit_2(self, capsys, tmp_path, argv, base, where, value):
+        obj = json.loads(json.dumps(base))
+        target = obj
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, *[a.format(f=path, d=tmp_path) for a in argv])
+        assert (code, out) == (2, "")
+        assert str(path) in err
+        assert f"field {where[-1]!r} must be a number, got {value!r}" in err
+
     def test_layout_text_number_names_file_and_field(self, capsys, tmp_path):
         path = tmp_path / "layout.json"
         obj = layout_to_dict(default_layout())
@@ -402,6 +424,19 @@ class TestSynth:
         _, out_a, _ = run(capsys, "synth", "--model", "All/upper", "--height", "upper", "--seed", "5")
         _, out_b, _ = run(capsys, "synth", "--model", "All/upper", "--height", "upper", "--seed", "5")
         assert out_a == out_b
+
+    def test_existing_sweeps_exit_2_and_tree_unchanged(self, capsys, tmp_path):
+        cal, pdp = tmp_path / "cal.json", tmp_path / "pdp"
+        cal.write_text('{"radiated_power_db": 0.0}')
+        argv = ["synth", "--model", "All/upper", "--height", "upper", "--pdp-dir", str(pdp),
+                "--calibration", str(cal)]
+        assert run(capsys, *argv, "--sweeps", "12", "--seed", "1")[0] == 0
+        before = {p: p.read_bytes() for p in pdp.rglob("*") if p.is_file()}
+        code, out, err = run(capsys, *argv, "--sweeps", "10", "--seed", "2")
+        assert (code, out) == (2, "")
+        first = min(pdp.iterdir(), key=lambda p: int(p.name.split("_")[0]))
+        assert err.strip().endswith(f"cannot write {first}: already holds sweep files")
+        assert {p: p.read_bytes() for p in pdp.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize("sweeps", ["0", "-1", "1001"])
     def test_sweep_count_out_of_range_exit_2(self, capsys, tmp_path, sweeps):

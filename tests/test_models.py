@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from busloss.models import (
+    CSV_BLOCK_ROWS,
     CombinedForm,
     HeightClass,
     PathLossModel,
@@ -17,9 +18,10 @@ from busloss.models import (
     builtin_registry,
     compare_models,
     coverage_probability,
-    csv_rows,
+    csv_columns,
     csv_text,
     float_field,
+    float_rows,
     float_record,
     from_combined_form,
     fspl,
@@ -29,6 +31,7 @@ from busloss.models import (
     mean_path_loss,
     model_from_dict,
     model_to_json,
+    raise_first_bad_row,
     read_text,
     sample_path_loss,
     to_combined_form,
@@ -234,9 +237,20 @@ class TestInputHelpers:
         with pytest.raises(ValueError, match="field 'beta' must be a number"):
             float_field({"beta": value}, "beta")
 
+    # JSON true and "7" are not numbers, though float() takes both.
+    @pytest.mark.parametrize("value", [True, False, "7", "-inf", "1_0"])
+    def test_float_field_rejects_bools_and_text(self, value):
+        with pytest.raises(ValueError, match=f"^field 'beta' must be a number, got {value!r}$"):
+            float_field({"beta": value}, "beta")
+
+    @pytest.mark.parametrize("value", [7, -2, 7.5, np.float64(3.0)])
+    def test_float_field_takes_ints_and_floats(self, value):
+        number = float_field({"beta": value}, "beta")
+        assert type(number) is float and number == value
+
     def test_float_field_default_and_infinity(self):
         assert float_field({}, "g", 2.0) == 2.0
-        assert float_field({"g": "-inf"}, "g") == -math.inf
+        assert float_field({"g": -math.inf}, "g") == -math.inf
 
     def test_float_record_reads_fields_in_order(self):
         @dataclass(frozen=True)
@@ -244,7 +258,7 @@ class TestInputHelpers:
             a: float
             b: float = 2.0
 
-        assert float_record(Record, {"a": "1"}) == Record(1.0, 2.0)
+        assert float_record(Record, {"a": 1}) == Record(1.0, 2.0)
         with pytest.raises(KeyError, match="'a'"):
             float_record(Record, {"b": 3.0})
         with pytest.raises(ValueError, match="field 'a'"):
@@ -274,11 +288,13 @@ class TestInputHelpers:
         assert csv_text(("a", "b"), [("1", "2"), ("3", "")]) == "a,b\n1,2\n3,\n"
         assert csv_text(("a",), []) == "a\n"
 
+    # The three test_csv_rows_* tests check the row framing, csv_columns.
     def test_csv_rows_inverts_csv_text(self):
         text = csv_text(("a", "b", "c"), [("1", "", "x"), (" ", " ", ""), ("2", "3", "y")])
-        header, rows = csv_rows(text, "t.csv", "test", ("a",), ("c", "b"))
+        header, blocks = csv_columns(text, "t.csv", "test", ("a",), ("c", "b"))
         assert header == ["a", "b", "c"]
-        assert list(rows) == [(2, ["1", "", "x"]), (4, ["2", "3", "y"])]
+        assert [(list(lines), cells) for lines, cells in blocks] == [
+            ([2, 4], [["1", "2"], ["", "3"], ["x", "y"]])]
 
     @pytest.mark.parametrize("text, expected", [
         ("", "t.csv: empty test file"),
@@ -288,13 +304,56 @@ class TestInputHelpers:
     ])
     def test_csv_rows_header_errors(self, text, expected):
         with pytest.raises(ValueError, match=f"^{expected}$"):
-            csv_rows(text, "t.csv", "test", ("a",), ("b",))
+            csv_columns(text, "t.csv", "test", ("a",), ("b",))
 
     def test_csv_rows_is_lazy(self):
-        _, rows = csv_rows("a,b\r\n1,2\r\n1,2,3\n", "t.csv", "test", ("a", "b"))
-        assert next(rows) == (2, ["1", "2\r"])
+        _, blocks = csv_columns("a,b\r\n1,2\r\n1,2,3\n", "t.csv", "test", ("a", "b"))
+        lines, cells = next(blocks)
+        assert (list(lines), cells) == ([2], [["1"], ["2\r"]])
         with pytest.raises(ValueError, match="^t.csv:3: expected 2 columns$"):
-            next(rows)
+            next(blocks)
+
+    def test_csv_columns_blocks_count_skipped_rows(self, monkeypatch):
+        monkeypatch.setattr("busloss.models.CSV_BLOCK_ROWS", 3)
+        text = "a,b\n1,2\n\n3,4\n5,6\n , \n7,8\n"
+        _, blocks = csv_columns(text, "t.csv", "test", ("a", "b"))
+        assert [(list(lines), cells) for lines, cells in blocks] == [
+            ([2, 4], [["1", "3"], ["2", "4"]]), ([5, 7], [["5", "7"], ["6", "8"]])]
+        assert CSV_BLOCK_ROWS == 8192
+
+    def test_csv_columns_blank_chars_are_str_whitespace(self):
+        from busloss.models import _BLANK_CHARS
+
+        whitespace = "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+        assert sorted(_BLANK_CHARS) == sorted(whitespace + ",")
+
+    @pytest.mark.parametrize("columns, rows", [
+        ([[]], 0), ([["1", " 2 ", "1_0"]], 3), ([["x"]], 0), ([["1", "2", "x", "4"]], 2),
+        ([["1"] * 1000 + ["nan", ""] + ["1"] * 5], 1001),
+        ([["1", "2", "3", "4"], ["5", "6", "x", "8"]], 2),
+        ([["1", "y", "3"], ["5", "6", "x"]], 1),
+    ])
+    def test_float_rows_stop_at_first_rejected_row(self, columns, rows):
+        values = float_rows(*columns)
+        assert len(values) == len(columns)
+        for cells, column in zip(columns, values):
+            assert column.dtype == np.float64
+            np.testing.assert_array_equal(column, [float(c) for c in cells[:rows]])
+
+    @pytest.mark.parametrize("parsed, masks, expected", [
+        (3, [[0, 0, 0], [0, 0, 0]], None),
+        (2, [[0, 0], [0, 0]], "t.csv:9: non-numeric value"),
+        (3, [[0, 1, 0], [1, 0, 0]], "t.csv:2: second"),
+        (3, [[0, 1, 1], [0, 1, 0]], "t.csv:5: first"),
+        (1, [[1], [1]], "t.csv:2: first"),
+    ])
+    def test_raise_first_bad_row(self, parsed, masks, expected):
+        checks = [(np.array(m, dtype=bool), msg) for m, msg in zip(masks, ["first", "second"])]
+        if expected is None:
+            raise_first_bad_row(ValueError, "t.csv", [2, 5, 9], parsed, checks)
+            return
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            raise_first_bad_row(ValueError, "t.csv", [2, 5, 9], parsed, checks)
 
     def test_read_text_names_file(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -211,6 +211,16 @@ class TestMeasurementIo:
         with pytest.raises(PdpFormatError, match=r"sweep_0\.csv:3: values must be finite"):
             load_pdp_csv(path)
 
+    def test_write_refuses_set_with_sweeps(self, tmp_path):
+        sets = [MeasurementSet(3, HeightClass.UPPER, [make_pdp([1.0], [-90.0])]),
+                MeasurementSet(5, HeightClass.UPPER, [make_pdp([2.0], [-91.0])])]
+        (tmp_path / "3_upper").mkdir()
+        (tmp_path / "3_upper" / "meta.json").write_text("{}")
+        write_measurement_dir(tmp_path, sets[:1])  # a set directory without sweeps is reused
+        with pytest.raises(ValueError, match="^cannot write .*3_upper: already holds sweep files$"):
+            write_measurement_dir(tmp_path, sets)
+        assert not (tmp_path / "5_upper").exists()
+
     def test_infinite_seat_in_metadata_rejected(self, tmp_path):
         entry = tmp_path / "1_upper"
         entry.mkdir()
