@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import is_
 from typing import Sequence
 
 import numpy as np
@@ -19,11 +17,9 @@ from .models import (
     HeightClass,
     PathLossModel,
     Region,
-    csv_columns,
     csv_text,
-    float_rows,
     model_to_dict,
-    raise_first_bad_row,
+    read_csv,
 )
 
 
@@ -187,48 +183,13 @@ def samples_to_csv(samples: SampleSet) -> str:
     return csv_text(header, zip(*columns))
 
 
-# The tag of a cell its column's parser rejects.
-_BAD_TAG = object()
-
-
-def _tag_column(parse, table: dict, cells: list[str]) -> list:
-    """The tags of one column's cells. table maps each distinct cell parsed so
-    far to its tag: None for a blank cell, _BAD_TAG for one parse rejects."""
-    for cell in set(cells).difference(table):
-        text = cell.strip()
-        try:
-            table[cell] = parse(text) if text else None
-        except ValueError:
-            table[cell] = _BAD_TAG
-    return list(map(table.__getitem__, cells))
-
-
 def samples_from_csv(text: str, source: str = "<string>") -> SampleSet:
     """Parse the sample CSV schema, naming the offending line on error."""
-    header, blocks = csv_columns(text, source, "sample", ("distance_m", "path_loss_db"),
-                                 SAMPLE_TAGS)
-    names = header[2:]
-    tables = {name: {} for name in names}
-    distances, losses, tags = [np.empty(0)], [np.empty(0)], {name: [] for name in names}
-    for linenos, (distance_cells, loss_cells, *tag_cells) in blocks:
-        d, pl = float_rows(distance_cells, loss_cells)
-        rows = len(d)
-        columns = [_tag_column(SAMPLE_TAGS[name], tables[name], cells)
-                   for name, cells in zip(names, tag_cells)]
-        bad_tag = np.zeros(rows, dtype=bool)
-        for name, column in zip(names, columns):
-            if _BAD_TAG in tables[name].values():
-                bad_tag |= np.fromiter(map(is_, column[:rows], repeat(_BAD_TAG)), bool, rows)
-        raise_first_bad_row(ValueError, source, linenos, rows, [
-            (~np.isfinite(d) | (d <= 0), "distance must be > 0"),
-            (~np.isfinite(pl), "path loss must be finite"),
-            (bad_tag, "bad tag value"),
-        ])
-        distances.append(d)
-        losses.append(pl)
-        for name, column in zip(names, columns):
-            tags[name] += column
-    return SampleSet(np.concatenate(distances), np.concatenate(losses), **tags)
+    (d, pl), tags = read_csv(text, source, "sample", ("distance_m", "path_loss_db"), lambda d, pl: [
+        (~np.isfinite(d) | (d <= 0), "distance must be > 0"),
+        (~np.isfinite(pl), "path loss must be finite"),
+    ], SAMPLE_TAGS)
+    return SampleSet(d, pl, **tags)
 
 
 def fit_result_to_dict(result: FitResult) -> dict:

@@ -186,8 +186,24 @@ def layout_to_dict(layout: BusLayout) -> dict:
     }
 
 
+def _group(value) -> Region:
+    try:
+        return Region(value)
+    except ValueError:
+        raise ValueError(f"field 'group' must be one of A, B, C, D, got {value!r}") from None
+
+
+def _flag(obj: dict, name: str) -> bool:
+    """obj[name] if it is JSON true or false, False if absent; ValueError otherwise."""
+    value = obj.get(name, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"field {name!r} must be true or false, got {value!r}")
+    return value
+
+
 def layout_from_dict(obj: dict) -> BusLayout:
-    """Build a layout; every number is read with float_field, which names a bad field."""
+    """Build a layout; every number is read with float_field, and a seat's group and
+    lower_excluded flag are checked, so that a bad value's message names its field."""
     try:
         seats = [
             SeatSpec(
@@ -195,8 +211,8 @@ def layout_from_dict(obj: dict) -> BusLayout:
                 x=float_field(s, "x"),
                 y=float_field(s, "y"),
                 seat_height_m=float_field(s, "seat_height_m", 0.5),
-                group=Region(s["group"]),
-                lower_excluded=bool(s.get("lower_excluded", False)),
+                group=_group(s["group"]),
+                lower_excluded=_flag(s, "lower_excluded"),
             )
             for s in obj.get("seats", [])
         ]

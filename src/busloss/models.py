@@ -5,9 +5,8 @@ Gaussian shadow-fading term with standard deviation sigma (all in dB).
 Ten fitted parameter sets ship with the package, one per seat region
 (A-D plus the pooled "All" set) and transmitter height class. The shared
 I/O helpers live here too: read_text, load_json_object and float_record for
-input files, csv_text for CSV output, and, for CSV input, csv_columns, which
-frames a file into blocks of per-column cells, float_rows and
-raise_first_bad_row.
+input files, csv_text for CSV output, and read_csv, its inverse, which both
+CSV readers call once with their row rules.
 """
 
 from __future__ import annotations
@@ -16,9 +15,9 @@ import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from itertools import compress, repeat
+from itertools import compress, count, islice, repeat
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -275,7 +274,7 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
-# Rows a CSV reader converts at a time. A block's cell lists live only while
+# Rows read_csv converts at a time. A block's cell lists live only while
 # it is converted, so they stay a small share of the text's memory; parsing a
 # 2e5-row sample file in one block took 65% more peak memory.
 CSV_BLOCK_ROWS = 8192
@@ -286,17 +285,37 @@ _BLANK_CHARS = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002
                 "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000,")
 
 
-def csv_columns(text: str, source, kind: str, columns: Sequence[str],
-                optional: Collection[str] = (), error=ValueError):
-    """The inverse of csv_text: the header's names and a lazy iterator of
-    (line numbers, cells of each column) blocks of at most CSV_BLOCK_ROWS rows.
+# The tag of a cell its column's parser rejects.
+_BAD_TAG = object()
+
+
+def _leading_floats(cells: Sequence[str]) -> np.ndarray:
+    """float() of the cells before the first one float() rejects."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        values = []
+        for cell in cells:  # the error path: a linear scan finds the rejected cell
+            try:
+                values.append(float(cell))
+            except ValueError:
+                return np.array(values, dtype=float)
+
+
+def read_csv(text: str, source, kind: str, columns: Sequence[str], checks,
+             tags: Mapping[str, Callable] = {}, error=ValueError):
+    """The inverse of csv_text: float arrays of the columns, and for each tag
+    column in the header, its list of tags.
 
     Lines split at line feeds (a carriage return is whitespace), cells at
     commas, nothing quoted; rows all whitespace and commas are skipped. The
-    header is columns, then optional ones at most once each. A row of the
-    wrong width ends the iteration: the rows before it come as a block, and
-    the next step raises error naming its line. Each check is a C-level string
-    operation over a whole block, not a Python step per row."""
+    header is columns, then names of tags at most once each. A tag cell is
+    parsed by tags[name] once per distinct cell, and a blank one is None.
+    checks(*arrays) gives (mask over the rows, message) pairs. The first bad
+    row raises error naming its line, with its first fault in the order: the
+    wrong width, a cell float() rejects, each check, a tag its parser rejects.
+    Rows are framed and converted CSV_BLOCK_ROWS at a time by C-level string
+    operations, with no Python step per row or cell."""
     if not text:
         raise error(f"{source}: empty {kind} file")
     lines = text.split("\n")
@@ -304,64 +323,55 @@ def csv_columns(text: str, source, kind: str, columns: Sequence[str],
     if header[:len(columns)] != list(columns):
         raise error(f"{source}:1: header must start with {','.join(columns)}")
     for i, name in enumerate(header[len(columns):], len(columns)):
-        if name not in optional:
+        if name not in tags:
             raise error(f"{source}:1: unknown column {name!r}")
         if name in header[:i]:
             raise error(f"{source}:1: repeated column {name!r}")
-    width = len(header)
-
-    def blocks():
-        for start in range(1, len(lines), CSV_BLOCK_ROWS):
-            block = lines[start:start + CSV_BLOCK_ROWS]
-            linenos = range(start + 1, start + 1 + len(block))
-            kept = list(map(str.strip, block, repeat(_BLANK_CHARS)))  # "" for a blank row
-            if "" in kept:
-                block, linenos = list(compress(block, kept)), list(compress(linenos, kept))
-            commas = np.fromiter(map(str.count, block, repeat(",")), int, len(block))
-            wrong = np.flatnonzero(commas != width - 1)
-            rows = len(block) if wrong.size == 0 else int(wrong[0])
-            if rows:
-                cells = ",".join(block[:rows]).split(",")
-                yield linenos[:rows], [cells[i::width] for i in range(width)]
-            if rows < len(block):
-                raise error(f"{source}:{linenos[rows]}: expected {width} columns")
-
-    return header, blocks()
-
-
-def float_rows(*columns: Sequence[str]) -> list[np.ndarray]:
-    """float() of each column's cells, as arrays over the rows before the first
-    one with a cell float() rejects, or over all rows. The search for that
-    row converts runs of halving length, about three passes over a column."""
-    rows, values = len(columns[0]), []
-    for cells in columns:
-        column = np.empty(rows)
-        done, size = 0, rows
-        while size and done < rows:
-            run = cells[done:min(done + size, rows)]
-            try:
-                column[done:done + len(run)] = np.fromiter(map(float, run), float, len(run))
-            except ValueError:
-                size //= 2
-            else:
-                done += len(run)
-        rows = done
-        values.append(column)
-    return [column[:rows] for column in values]
-
-
-def raise_first_bad_row(error, source, linenos: Sequence[int], parsed: int, checks) -> None:
-    """Raise error naming the first bad row of a block, as a reader that checks
-    one row at a time would. checks are (mask over the first `parsed` rows,
-    message) pairs, in the order such a reader runs them on a row; the row
-    after those, if any, holds a cell float() rejects. The first row any mask
-    marks takes the message of the first mask that marks it."""
-    marked = [(int(np.argmax(mask)), i) for i, (mask, _) in enumerate(checks) if mask.any()]
-    if marked:
-        row, i = min(marked)
-        raise error(f"{source}:{linenos[row]}: {checks[i][1]}")
-    if parsed < len(linenos):
-        raise error(f"{source}:{linenos[parsed]}: non-numeric value")
+    width, names = len(header), header[len(columns):]
+    arrays, done = [np.empty(len(lines) - 1) for _ in columns], 0
+    found = {name: [None] * (len(lines) - 1) for name in names}
+    tables = {name: {} for name in names}
+    stop = None  # the fault of the row after the rows read
+    for start in range(1, len(lines), CSV_BLOCK_ROWS):
+        block = lines[start:start + CSV_BLOCK_ROWS]
+        block = list(compress(block, map(str.strip, block, repeat(_BLANK_CHARS))))
+        commas = np.fromiter(map(str.count, block, repeat(",")), int, len(block))
+        wrong = np.flatnonzero(commas != width - 1)
+        rows = len(block) if wrong.size == 0 else int(wrong[0])
+        if rows < len(block):
+            stop = f"expected {width} columns"
+        cells = ",".join(block[:rows]).split(",")
+        values = [_leading_floats(cells[i:rows * width:width]) for i in range(len(columns))]
+        parsed = min(map(len, values))
+        if parsed < rows:
+            rows, stop = parsed, "non-numeric value"
+        for array, column in zip(arrays, values):
+            array[done:done + rows] = column[:rows]
+        for i, name in enumerate(names, len(columns)):
+            table, tag_cells = tables[name], cells[i:rows * width:width]
+            for cell in set(tag_cells).difference(table):
+                tag = cell.strip()
+                try:
+                    table[cell] = tags[name](tag) if tag else None
+                except ValueError:
+                    table[cell] = _BAD_TAG
+            found[name][done:done + rows] = map(table.__getitem__, tag_cells)
+        done += rows
+        if stop:
+            break
+    arrays = [array[:done] for array in arrays]
+    for tag_list in found.values():
+        del tag_list[done:]
+    faults = [(int(np.argmax(mask)), message) for mask, message in checks(*arrays) if mask.any()]
+    faults += [(found[name].index(_BAD_TAG), "bad tag value")
+               for name in names if _BAD_TAG in tables[name].values()]
+    if stop:
+        faults.append((len(arrays[0]), stop))
+    if faults:
+        row, message = min(faults, key=lambda fault: fault[0])
+        kept = compress(count(2), map(str.strip, islice(lines, 1, None), repeat(_BLANK_CHARS)))
+        raise error(f"{source}:{next(islice(kept, row, None))}: {message}")
+    return arrays, found
 
 
 def model_from_dict(obj: dict) -> PathLossModel:

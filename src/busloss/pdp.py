@@ -24,12 +24,10 @@ from .models import (
     SPEED_OF_LIGHT,
     HeightClass,
     PathLossModel,
-    csv_columns,
     csv_text,
-    float_rows,
     int_field,
     load_json_object,
-    raise_first_bad_row,
+    read_csv,
     read_text,
     sample_path_loss,
 )
@@ -201,20 +199,13 @@ def pdp_to_csv(pdp: PdpRecord) -> str:
 def load_pdp_csv(path: str | Path) -> PdpRecord:
     """Parse one sweep file, reporting the offending line on error."""
     text = read_text(path, "PDP", PdpFormatError)
-    _, blocks = csv_columns(text, path, "PDP", PDP_CSV_HEADER, error=PdpFormatError)
-    delays, powers, last = [], [], -math.inf
-    for linenos, (delay_cells, power_cells) in blocks:
-        delay, power = float_rows(delay_cells, power_cells)
-        raise_first_bad_row(PdpFormatError, path, linenos, len(delay), [
-            (~(np.isfinite(delay) & np.isfinite(power)), "values must be finite"),
-            (delay <= np.append(last, delay[:-1]), "delays must strictly increase"),
-        ])
-        delays.append(delay)
-        powers.append(power)
-        last = delay[-1]
-    if not delays:
+    (delay, power), _ = read_csv(text, path, "PDP", PDP_CSV_HEADER, lambda delay, power: [
+        (~(np.isfinite(delay) & np.isfinite(power)), "values must be finite"),
+        (delay <= np.append(-np.inf, delay[:-1]), "delays must strictly increase"),
+    ], error=PdpFormatError)
+    if not len(delay):
         raise PdpFormatError(f"{path}: no delay bins")
-    return PdpRecord(np.concatenate(delays), np.concatenate(powers))
+    return PdpRecord(delay, power)
 
 
 _SET_DIR_RE = re.compile(r"^(\d+)_(lower|upper)$")
@@ -250,6 +241,8 @@ def load_measurement_dir(root: str | Path) -> list[MeasurementSet]:
         if not sweeps:
             raise PdpFormatError(f"{entry}: no sweep files")
         sets.append(MeasurementSet(seat=seat, height=height, sweeps=sweeps))
+    if not sets:
+        raise PdpFormatError(f"{root}: no <seat>_<height> set directories")
     return sets
 
 

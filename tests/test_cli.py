@@ -218,6 +218,22 @@ class TestJsonInputs:
         assert str(path) in err
         assert f"field {where[-1]!r} must be a number, got {value!r}" in err
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("lower_excluded", "false", "must be true or false, got 'false'"),
+        ("lower_excluded", None, "must be true or false, got None"),
+        ("lower_excluded", 0, "must be true or false, got 0"),
+        ("group", 1, "must be one of A, B, C, D, got 1"),
+        ("group", "E", "must be one of A, B, C, D, got 'E'"),
+    ])
+    def test_layout_seat_field_exit_2(self, capsys, tmp_path, field, value, message):
+        path = tmp_path / "layout.json"
+        obj = layout_to_dict(default_layout())
+        obj["seats"][0][field] = value
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "sweep", "--height", "lower", "--layout", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: bad layout (field {field!r} {message})\n"
+
     def test_layout_text_number_names_file_and_field(self, capsys, tmp_path):
         path = tmp_path / "layout.json"
         obj = layout_to_dict(default_layout())
@@ -316,6 +332,17 @@ class TestProcessPipeline:
         code, _, err = run(capsys, "process", str(tmp_path / "pdp"), str(cal_path))
         assert code == 2
         assert "sweep_0.csv" in err
+
+    def test_tree_without_sets_exit_2(self, capsys, tmp_path):
+        cal = tmp_path / "cal.json"
+        cal.write_text('{"radiated_power_db": 0.0}')
+        (tmp_path / "pdp").mkdir()
+        (tmp_path / "pdp" / "notes.txt").write_text("no sets yet\n")
+        out_path = tmp_path / "samples.csv"
+        code, out, err = run(capsys, "process", str(tmp_path / "pdp"), str(cal), "-o", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {tmp_path / 'pdp'}: no <seat>_<height> set directories\n"
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("sweeps, reason", [
         ([["0.0,-90"]], "distance"),

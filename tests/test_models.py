@@ -18,10 +18,8 @@ from busloss.models import (
     builtin_registry,
     compare_models,
     coverage_probability,
-    csv_columns,
     csv_text,
     float_field,
-    float_rows,
     float_record,
     from_combined_form,
     fspl,
@@ -31,7 +29,7 @@ from busloss.models import (
     mean_path_loss,
     model_from_dict,
     model_to_json,
-    raise_first_bad_row,
+    read_csv,
     read_text,
     sample_path_loss,
     to_combined_form,
@@ -39,6 +37,10 @@ from busloss.models import (
 
 ALL_LOWER = builtin_model(Region.ALL, HeightClass.LOWER)
 ALL_UPPER = builtin_model(Region.ALL, HeightClass.UPPER)
+
+
+def no_checks(*arrays):
+    return []
 
 
 class TestMeanPathLoss:
@@ -288,13 +290,13 @@ class TestInputHelpers:
         assert csv_text(("a", "b"), [("1", "2"), ("3", "")]) == "a,b\n1,2\n3,\n"
         assert csv_text(("a",), []) == "a\n"
 
-    # The three test_csv_rows_* tests check the row framing, csv_columns.
+    # The test_csv_rows_* tests check read_csv's framing, test_float_rows_* its
+    # float() conversion and test_raise_first_bad_row the order of its faults.
     def test_csv_rows_inverts_csv_text(self):
         text = csv_text(("a", "b", "c"), [("1", "", "x"), (" ", " ", ""), ("2", "3", "y")])
-        header, blocks = csv_columns(text, "t.csv", "test", ("a",), ("c", "b"))
-        assert header == ["a", "b", "c"]
-        assert [(list(lines), cells) for lines, cells in blocks] == [
-            ([2, 4], [["1", "2"], ["", "3"], ["x", "y"]])]
+        arrays, tags = read_csv(text, "t.csv", "test", ("a",), no_checks, {"c": str, "b": int})
+        assert [a.tolist() for a in arrays] == [[1.0, 2.0]]
+        assert list(tags.items()) == [("b", [None, 3]), ("c", ["x", "y"])]
 
     @pytest.mark.parametrize("text, expected", [
         ("", "t.csv: empty test file"),
@@ -304,21 +306,32 @@ class TestInputHelpers:
     ])
     def test_csv_rows_header_errors(self, text, expected):
         with pytest.raises(ValueError, match=f"^{expected}$"):
-            csv_columns(text, "t.csv", "test", ("a",), ("b",))
+            read_csv(text, "t.csv", "test", ("a",), no_checks, {"b": str})
 
     def test_csv_rows_is_lazy(self):
-        _, blocks = csv_columns("a,b\r\n1,2\r\n1,2,3\n", "t.csv", "test", ("a", "b"))
-        lines, cells = next(blocks)
-        assert (list(lines), cells) == ([2], [["1"], ["2\r"]])
+        # The rows before a wrong-width row are read and checked first.
+        text = "a,b\r\n1,2\r\n1,2,3\n"
         with pytest.raises(ValueError, match="^t.csv:3: expected 2 columns$"):
-            next(blocks)
+            read_csv(text, "t.csv", "test", ("a", "b"), no_checks)
+        with pytest.raises(ValueError, match="^t.csv:2: b is 2$"):
+            read_csv(text, "t.csv", "test", ("a", "b"), lambda a, b: [(b == 2, "b is 2")])
 
     def test_csv_columns_blocks_count_skipped_rows(self, monkeypatch):
         monkeypatch.setattr("busloss.models.CSV_BLOCK_ROWS", 3)
         text = "a,b\n1,2\n\n3,4\n5,6\n , \n7,8\n"
-        _, blocks = csv_columns(text, "t.csv", "test", ("a", "b"))
-        assert [(list(lines), cells) for lines, cells in blocks] == [
-            ([2, 4], [["1", "3"], ["2", "4"]]), ([5, 7], [["5", "7"], ["6", "8"]])]
+        arrays, _ = read_csv(text, "t.csv", "test", ("a", "b"), no_checks)
+        assert [a.tolist() for a in arrays] == [[1, 3, 5, 7], [2, 4, 6, 8]]
+        for value, line in [(1, 2), (3, 4), (5, 5), (7, 7)]:
+            def checks(a, b):
+                return [(a == value, f"a is {value}")]
+
+            with pytest.raises(ValueError, match=f"^t.csv:{line}: a is {value}$"):
+                read_csv(text, "t.csv", "test", ("a", "b"), checks)
+        for row, bad, message in [("7,8", "7,x", "7: non-numeric value"),
+                                  ("7,8", "7,8,9", "7: expected 2 columns"),
+                                  ("5,6", "5,6,", "5: expected 2 columns")]:
+            with pytest.raises(ValueError, match=f"^t.csv:{message}$"):
+                read_csv(text.replace(row, bad), "t.csv", "test", ("a", "b"), no_checks)
         assert CSV_BLOCK_ROWS == 8192
 
     def test_csv_columns_blank_chars_are_str_whitespace(self):
@@ -334,9 +347,19 @@ class TestInputHelpers:
         ([["1", "y", "3"], ["5", "6", "x"]], 1),
     ])
     def test_float_rows_stop_at_first_rejected_row(self, columns, rows):
-        values = float_rows(*columns)
-        assert len(values) == len(columns)
-        for cells, column in zip(columns, values):
+        # A leading column of zeros keeps a row whose cells are blank from being skipped.
+        names = ["i"] + [f"c{k}" for k in range(len(columns))]
+        text = csv_text(names, [("0", *row) for row in zip(*columns)])
+        seen = []
+        try:
+            read_csv(text, "t.csv", "test", names, lambda *arrays: seen.extend(arrays) or [])
+        except ValueError as exc:
+            assert rows < len(columns[0])
+            assert str(exc) == f"t.csv:{rows + 2}: non-numeric value"
+        else:
+            assert rows == len(columns[0])
+        assert len(seen) == len(names)
+        for cells, column in zip([["0"] * rows, *columns], seen):
             assert column.dtype == np.float64
             np.testing.assert_array_equal(column, [float(c) for c in cells[:rows]])
 
@@ -348,12 +371,19 @@ class TestInputHelpers:
         (1, [[1], [1]], "t.csv:2: first"),
     ])
     def test_raise_first_bad_row(self, parsed, masks, expected):
-        checks = [(np.array(m, dtype=bool), msg) for m, msg in zip(masks, ["first", "second"])]
+        # Rows on lines 2, 5 and 9; the row after the first `parsed` is not a number.
+        cells = ["x" if i == parsed else "1" for i in range(3)]
+        text = "a\n{}\n\n\n{}\n\n\n\n{}\n".format(*cells)
+
+        def checks(a):
+            assert len(a) == parsed
+            return [(np.array(m, dtype=bool), msg) for m, msg in zip(masks, ["first", "second"])]
+
         if expected is None:
-            raise_first_bad_row(ValueError, "t.csv", [2, 5, 9], parsed, checks)
+            read_csv(text, "t.csv", "test", ("a",), checks)
             return
         with pytest.raises(ValueError, match=f"^{expected}$"):
-            raise_first_bad_row(ValueError, "t.csv", [2, 5, 9], parsed, checks)
+            read_csv(text, "t.csv", "test", ("a",), checks)
 
     def test_read_text_names_file(self, tmp_path):
         path = tmp_path / "s.csv"

@@ -299,6 +299,12 @@ class TestMeasurementIo:
         with pytest.raises(PdpFormatError, match="meta.json"):
             load_measurement_dir(tmp_path)
 
+    def test_tree_without_sets_rejected(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("x\n")
+        with pytest.raises(PdpFormatError) as exc:
+            load_measurement_dir(tmp_path)
+        assert str(exc.value) == f"{tmp_path}: no <seat>_<height> set directories"
+
     def test_meta_directory_mismatch_rejected(self, tmp_path):
         d = tmp_path / "1_upper"
         d.mkdir()
