@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -201,26 +201,49 @@ def _flag(obj: dict, name: str) -> bool:
     return value
 
 
+@functools.cache
+def _field_names(cls) -> frozenset[str]:
+    return frozenset(f.name for f in fields(cls))
+
+
+def _check_fields(obj: dict, cls, where: str = "") -> None:
+    """ValueError naming the first key of obj that is not a field of the dataclass cls."""
+    known = _field_names(cls)
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"{where}unknown field {key!r}")
+
+
+def _seat_from_dict(s: dict) -> SeatSpec:
+    seat_id = int_field(s, "id")
+    _check_fields(s, SeatSpec, f"seat {seat_id}: ")
+    return SeatSpec(
+        id=seat_id,
+        x=float_field(s, "x"),
+        y=float_field(s, "y"),
+        seat_height_m=float_field(s, "seat_height_m", 0.5),
+        group=_group(s["group"]),
+        lower_excluded=_flag(s, "lower_excluded"),
+    )
+
+
 def layout_from_dict(obj: dict) -> BusLayout:
     """Build a layout; every number is read with float_field, and a seat's group and
-    lower_excluded flag are checked, so that a bad value's message names its field."""
+    lower_excluded flag are checked, so that a bad value's message names its field.
+    The keys of the layout, its receiver and each seat are the fields of BusLayout,
+    Point3 and SeatSpec; any other key is rejected by name, and the layout must
+    list at least one seat."""
     try:
-        seats = [
-            SeatSpec(
-                id=int_field(s, "id"),
-                x=float_field(s, "x"),
-                y=float_field(s, "y"),
-                seat_height_m=float_field(s, "seat_height_m", 0.5),
-                group=_group(s["group"]),
-                lower_excluded=_flag(s, "lower_excluded"),
-            )
-            for s in obj.get("seats", [])
-        ]
-        rx = obj["rx"]
+        _check_fields(obj, BusLayout)
+        seats = [_seat_from_dict(s) for s in obj["seats"]]
+        if not seats:
+            raise ValueError("field 'seats' must list at least one seat")
+        rx = float_record(Point3, obj["rx"])
+        _check_fields(obj["rx"], Point3, "rx: ")
         return BusLayout(
             length_m=float_field(obj, "length_m"),
             width_m=float_field(obj, "width_m"),
-            rx=float_record(Point3, rx),
+            rx=rx,
             seats=seats,
             upper_height_m=float_field(obj, "upper_height_m", DEFAULT_UPPER_HEIGHT_M),
             lower_height_m=float_field(obj, "lower_height_m", DEFAULT_LOWER_HEIGHT_M),

@@ -26,9 +26,16 @@ from .models import (
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0  # 290 K reference
 
-# Most shadowing values (draws x links) one Monte-Carlo call may hold: about
-# 400 MB per float64 array of that size.
+# Most shadowing values (draws x links) one Monte-Carlo call may draw. The
+# footprint keeps one float64 SINR value per draw and link, about 400 MB at this
+# limit; coverage only counts, so its memory does not grow with the draws.
 MAX_DRAW_LINKS = 50_000_000
+
+# Draws per path-loss block. Each block is drawn from the same Generator in
+# turn, so the blocks concatenate to the single (n_draws, k) draw bit for bit.
+# With 30 links, 1,024 to 16,384 rows ran equally fast and 65,536 rows ran
+# about 20% slower: larger blocks' temporaries fall out of cache.
+_DRAW_CHUNK_ROWS = 4096
 
 ModelMap = Mapping[tuple[Region, HeightClass], PathLossModel]
 
@@ -170,11 +177,14 @@ def _shadowed_path_loss(
     use_all_model: bool,
     seed: int,
     n_draws: int,
-) -> np.ndarray:
-    """(n_draws, len(seat_ids)) path loss: each link's mean plus independent shadowing.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Path loss for n_draws draws of every link: each link's mean plus independent
+    shadowing, as (start, block) pairs of at most _DRAW_CHUNK_ROWS draws by
+    len(seat_ids) links, where block holds draws start, start + 1, ... in order.
 
-    Seats are resolved before n_draws is checked; n_draws * len(seat_ids) may
-    be at most MAX_DRAW_LINKS.
+    Seats are resolved and n_draws is checked when this is called, before any
+    block exists: n_draws must be >= 1 and n_draws * len(seat_ids) at most
+    MAX_DRAW_LINKS.
     """
     links = list(_seat_links(layout, models, height, seat_ids, use_all_model))
     if n_draws < 1:
@@ -183,8 +193,11 @@ def _shadowed_path_loss(
         raise ValueError(f"{n_draws} draws x {len(links)} links is over {MAX_DRAW_LINKS}")
     means = np.array([pl for _, _, _, pl in links])
     sigmas = np.array([model.sigma_db for _, model, _, _ in links])
-    rng = np.random.default_rng(seed)
-    return means + sigmas * rng.standard_normal((n_draws, len(links)))
+    rng, rows = np.random.default_rng(seed), _DRAW_CHUNK_ROWS
+    return (
+        (start, means + sigmas * rng.standard_normal((min(rows, n_draws - start), len(links))))
+        for start in range(0, n_draws, rows)
+    )
 
 
 def interference_footprint(
@@ -203,28 +216,36 @@ def interference_footprint(
     transmitters share the channel, so each seat's signal competes with the
     sum of the others plus noise. The active seats must be distinct. An
     unknown or excluded seat raises SeatNotFoundError or ExcludedPositionError
-    before n_draws is checked.
+    before n_draws is checked. The only array that grows with n_draws is one
+    (seats, n_draws) float64 SINR buffer.
     """
     if not active_seats:
         raise ValueError("need at least one active seat")
     for i, seat_id in enumerate(active_seats):
         if seat_id in active_seats[:i]:
             raise ValueError(f"seat {seat_id} is listed more than once")
-    pl_db = _shadowed_path_loss(
+    blocks = _shadowed_path_loss(
         layout, models, height, active_seats, use_all_model, seed, n_draws
     )
-    rx_mw = 10.0 ** (rx_power_dbm(config, pl_db) / 10.0)
-    del pl_db  # one (n_draws, k) array fewer alive beside the SINR temporaries
     noise_mw = 10.0 ** (noise_floor_dbm(config) / 10.0)
-    total_mw = rx_mw.sum(axis=1, keepdims=True)
-    sinr_db = 10.0 * np.log10(rx_mw / (noise_mw + total_mw - rx_mw))
+    sinr_db = np.empty((len(active_seats), n_draws))
+    for start, pl_db in blocks:
+        rx_mw = 10.0 ** (rx_power_dbm(config, pl_db) / 10.0)
+        total_mw = rx_mw.sum(axis=1, keepdims=True)
+        block_sinr = 10.0 * np.log10(rx_mw / (noise_mw + total_mw - rx_mw))
+        sinr_db[:, start:start + len(block_sinr)] = block_sinr.T
 
+    # The mean reads each row in draw order, so it goes first; the percentile and
+    # the median then reorder the rows in place instead of copying them.
+    means = np.mean(sinr_db, axis=1)
+    p05s = np.percentile(sinr_db, 5.0, axis=1, overwrite_input=True)
+    medians = np.median(sinr_db, axis=1, overwrite_input=True)
     return [
         FootprintSummary(
             seat_id=seat_id,
-            mean_db=float(np.mean(sinr_db[:, i])),
-            median_db=float(np.median(sinr_db[:, i])),
-            p05_db=float(np.percentile(sinr_db[:, i], 5.0)),
+            mean_db=float(means[i]),
+            median_db=float(medians[i]),
+            p05_db=float(p05s[i]),
         )
         for i, seat_id in enumerate(active_seats)
     ]
@@ -239,10 +260,17 @@ def empirical_coverage(
     n_draws: int,
     use_all_model: bool = False,
 ) -> dict[int, float]:
-    """Fraction of shadowing draws whose SNR clears the threshold, per seat."""
+    """Fraction of shadowing draws whose SNR clears the threshold, per seat.
+
+    The draws are counted block by block, so memory does not grow with n_draws.
+    """
     seat_ids = seats_in_group(layout, Region.ALL, height)
-    pl_db = _shadowed_path_loss(layout, models, height, seat_ids, use_all_model, seed, n_draws)
-    fractions = np.mean(pl_db <= max_path_loss_db(config), axis=0)
+    blocks = _shadowed_path_loss(layout, models, height, seat_ids, use_all_model, seed, n_draws)
+    pl_max = max_path_loss_db(config)
+    counts = np.zeros(len(seat_ids), dtype=np.int64)
+    for _, pl_db in blocks:
+        counts += np.count_nonzero(pl_db <= pl_max, axis=0)
+    fractions = counts / n_draws
     return {seat_id: float(fractions[i]) for i, seat_id in enumerate(seat_ids)}
 
 

@@ -234,6 +234,29 @@ class TestJsonInputs:
         assert (code, out) == (2, "")
         assert err == f"error: {path}: bad layout (field {field!r} {message})\n"
 
+    @staticmethod
+    def _misspell_seat_5_flag(obj):
+        (seat,) = (s for s in obj["seats"] if s["id"] == 5)
+        seat["lower_exluded"] = seat.pop("lower_excluded")
+
+    @pytest.mark.parametrize("edit, message", [
+        (_misspell_seat_5_flag, "seat 5: unknown field 'lower_exluded'"),
+        (lambda obj: obj["seats"][0].update(colour="red"), "seat 1: unknown field 'colour'"),
+        (lambda obj: obj.update(colour="red"), "unknown field 'colour'"),
+        (lambda obj: obj["rx"].update(zz=1.0), "rx: unknown field 'zz'"),
+        (lambda obj: obj.pop("seats"), "missing field 'seats'"),
+        (lambda obj: obj.update(seats=[]), "field 'seats' must list at least one seat"),
+    ], ids=["misspelt-seat-flag", "seat-extra", "top-extra", "rx-extra", "no-seats", "empty-seats"])
+    def test_layout_unknown_field_or_no_seats_exit_2(self, capsys, tmp_path, edit, message):
+        # Seat 5 has no lower position, so the misspelt flag would list it.
+        path = tmp_path / "layout.json"
+        obj = layout_to_dict(default_layout())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "sweep", "--height", "lower", "--layout", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: bad layout ({message})\n"
+
     def test_layout_text_number_names_file_and_field(self, capsys, tmp_path):
         path = tmp_path / "layout.json"
         obj = layout_to_dict(default_layout())

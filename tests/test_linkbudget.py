@@ -1,9 +1,12 @@
 """Tests for link budget, coverage and interference footprint analysis."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from busloss.geometry import (
     BusLayout,
@@ -12,14 +15,19 @@ from busloss.geometry import (
     SeatSpec,
     default_layout,
     link_distance,
+    seats_in_group,
 )
 from busloss.linkbudget import (
+    _DRAW_CHUNK_ROWS,
     MAX_DRAW_LINKS,
     LinkBudgetConfig,
+    _shadowed_path_loss,
     empirical_coverage,
     interference_footprint,
     link_snr,
+    max_path_loss_db,
     noise_floor_dbm,
+    rx_power_dbm,
     seat_sweep,
     shannon_rate,
 )
@@ -274,6 +282,102 @@ class TestEmpiricalCoverage:
             p = coverage_probability(model, d, pl_max)
             margin = 3 * math.sqrt(p * (1 - p) / n_draws) + 0.002
             assert abs(fraction - p) <= margin
+
+
+LAYOUT = default_layout()
+REGISTRY = builtin_registry()
+UPPER_SEATS = seats_in_group(LAYOUT, Region.ALL, HeightClass.UPPER)
+
+
+def one_shot_path_loss(seat_ids, height, seed, n_draws):
+    """The single (n_draws, k) draw from one Generator that the blocks must reproduce."""
+    models = [REGISTRY[(LAYOUT.seat(s).group, height)] for s in seat_ids]
+    means = np.array([mean_path_loss(m, link_distance(LAYOUT, s, height))
+                      for m, s in zip(models, seat_ids)])
+    sigmas = np.array([m.sigma_db for m in models])
+    return means + sigmas * np.random.default_rng(seed).standard_normal((n_draws, len(seat_ids)))
+
+
+class TestDrawBlocks:
+    """The block-wise engine against one full draw, with blocks of 1-5 rows so that
+    every n_draws meets the block edges differently. Equality is exact: the
+    blocks hold the same numbers in the same order."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        rows=st.integers(1, 5),
+        n_draws=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+        active=st.lists(st.sampled_from(UPPER_SEATS), min_size=1, max_size=6, unique=True),
+        height=st.sampled_from(list(HeightClass)),
+        tx_power_dbm=st.floats(10.0, 40.0),
+    )
+    def test_blocks_match_one_draw(self, rows, n_draws, seed, active, height, tx_power_dbm):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("busloss.linkbudget._DRAW_CHUNK_ROWS", rows)
+            blocks = list(_shadowed_path_loss(
+                LAYOUT, REGISTRY, HeightClass.UPPER, active, False, seed, n_draws))
+            footprint = interference_footprint(
+                LAYOUT, REGISTRY, CONFIG, active, HeightClass.UPPER, seed, n_draws)
+            config = LinkBudgetConfig(tx_power_dbm=tx_power_dbm)
+            coverage = empirical_coverage(LAYOUT, REGISTRY, config, height, seed, n_draws)
+
+        pl = one_shot_path_loss(active, HeightClass.UPPER, seed, n_draws)
+        assert [start for start, _ in blocks] == list(range(0, n_draws, rows))
+        assert all(len(block) <= rows for _, block in blocks)
+        assert np.array_equal(np.concatenate([block for _, block in blocks]), pl)
+
+        rx_mw = 10.0 ** (rx_power_dbm(CONFIG, pl) / 10.0)
+        noise_mw = 10.0 ** (noise_floor_dbm(CONFIG) / 10.0)
+        sinr = 10.0 * np.log10(rx_mw / (noise_mw + rx_mw.sum(axis=1, keepdims=True) - rx_mw))
+        assert [(s.seat_id, s.mean_db, s.median_db, s.p05_db) for s in footprint] == [
+            (seat_id, np.mean(sinr[:, i]), np.median(sinr[:, i]), np.percentile(sinr[:, i], 5.0))
+            for i, seat_id in enumerate(active)
+        ]
+
+        seat_ids = seats_in_group(LAYOUT, Region.ALL, height)
+        pl = one_shot_path_loss(seat_ids, height, seed, n_draws)
+        fractions = np.mean(pl <= max_path_loss_db(config), axis=0)
+        assert coverage == {seat_id: fractions[i] for i, seat_id in enumerate(seat_ids)}
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced while call() runs; tracemalloc sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMonteCarloMemory:
+    """Memory, not time: the draw count must not set the coverage peak, and the
+    footprint may hold only its SINR buffer plus per-block temporaries."""
+
+    COVERAGE_CONFIG = LinkBudgetConfig(tx_power_dbm=25.0)
+    BLOCK_BYTES = _DRAW_CHUNK_ROWS * len(UPPER_SEATS) * 8
+
+    def setup_method(self):
+        # First calls allocate numpy's and the registry's one-off state.
+        empirical_coverage(LAYOUT, REGISTRY, self.COVERAGE_CONFIG, HeightClass.UPPER, seed=0, n_draws=10)
+        interference_footprint(LAYOUT, REGISTRY, CONFIG, UPPER_SEATS, HeightClass.UPPER, 0, 10)
+
+    def test_coverage_peak_independent_of_draws(self):
+        small, large = (
+            traced_peak(lambda: empirical_coverage(
+                LAYOUT, REGISTRY, self.COVERAGE_CONFIG, HeightClass.UPPER, seed=3, n_draws=n_draws))
+            for n_draws in (50_000, 400_000)
+        )
+        assert abs(large - small) <= self.BLOCK_BYTES
+
+    def test_footprint_peak_is_one_buffer(self):
+        n_draws = 100_000
+        peak = traced_peak(lambda: interference_footprint(
+            LAYOUT, REGISTRY, CONFIG, UPPER_SEATS, HeightClass.UPPER, seed=3, n_draws=n_draws))
+        # A block's draw and its SINR temporaries are about five block-sized
+        # arrays; the statistics reorder the buffer in place.
+        assert peak < len(UPPER_SEATS) * n_draws * 8 + 8 * self.BLOCK_BYTES
 
 
 class TestConfigValidation:
