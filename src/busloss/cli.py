@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -309,7 +309,11 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and reused by every later main call:
+    parse_args keeps no state between calls, and prog and stderr are looked up
+    when used."""
     parser = argparse.ArgumentParser(
         prog="busloss",
         description="60 GHz intra-bus path loss: fitting, evaluation, link budget.",

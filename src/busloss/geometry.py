@@ -13,11 +13,19 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-from .models import HeightClass, Region, float_field, float_record, int_field, load_json_object
+from .models import (
+    HeightClass,
+    Region,
+    check_fields,
+    float_field,
+    float_record,
+    int_field,
+    load_json_object,
+)
 
 DEFAULT_UPPER_HEIGHT_M = 1.2
 DEFAULT_LOWER_HEIGHT_M = 0.7
@@ -153,15 +161,19 @@ def default_layout() -> BusLayout:
     """The shipped 30-seat city-bus layout, read from data/default_layout.json.
 
     That file is the only copy of the seat coordinates, groups and
-    exclusions. Each call returns a fresh BusLayout, so callers may mutate it.
+    exclusions. It is parsed and validated once per process; each call
+    returns a fresh BusLayout with its own seat list, built and validated
+    again by BusLayout, so callers may mutate it. Only the frozen SeatSpec
+    and Point3 values are shared between calls.
     """
-    return layout_from_dict(_shipped_layout_dict())
+    layout = _shipped_layout()
+    return replace(layout, seats=list(layout.seats))
 
 
 @functools.cache
-def _shipped_layout_dict() -> dict:
+def _shipped_layout() -> BusLayout:
     path = resources.files(__package__) / "data" / "default_layout.json"
-    return json.loads(path.read_text(encoding="utf-8"))
+    return layout_from_dict(json.loads(path.read_text(encoding="utf-8")))
 
 
 def layout_to_dict(layout: BusLayout) -> dict:
@@ -201,22 +213,9 @@ def _flag(obj: dict, name: str) -> bool:
     return value
 
 
-@functools.cache
-def _field_names(cls) -> frozenset[str]:
-    return frozenset(f.name for f in fields(cls))
-
-
-def _check_fields(obj: dict, cls, where: str = "") -> None:
-    """ValueError naming the first key of obj that is not a field of the dataclass cls."""
-    known = _field_names(cls)
-    for key in obj:
-        if key not in known:
-            raise ValueError(f"{where}unknown field {key!r}")
-
-
 def _seat_from_dict(s: dict) -> SeatSpec:
     seat_id = int_field(s, "id")
-    _check_fields(s, SeatSpec, f"seat {seat_id}: ")
+    check_fields(s, SeatSpec, f"seat {seat_id}: ")
     return SeatSpec(
         id=seat_id,
         x=float_field(s, "x"),
@@ -234,12 +233,11 @@ def layout_from_dict(obj: dict) -> BusLayout:
     Point3 and SeatSpec; any other key is rejected by name, and the layout must
     list at least one seat."""
     try:
-        _check_fields(obj, BusLayout)
+        check_fields(obj, BusLayout)
         seats = [_seat_from_dict(s) for s in obj["seats"]]
         if not seats:
             raise ValueError("field 'seats' must list at least one seat")
-        rx = float_record(Point3, obj["rx"])
-        _check_fields(obj["rx"], Point3, "rx: ")
+        rx = float_record(Point3, obj["rx"], "rx: ")
         return BusLayout(
             length_m=float_field(obj, "length_m"),
             width_m=float_field(obj, "width_m"),

@@ -4,13 +4,15 @@ The model is L(d) = alpha + 10*beta*log10(d) + X, where X is a zero-mean
 Gaussian shadow-fading term with standard deviation sigma (all in dB).
 Ten fitted parameter sets ship with the package, one per seat region
 (A-D plus the pooled "All" set) and transmitter height class. The shared
-I/O helpers live here too: read_text, load_json_object and float_record for
-input files, csv_text for CSV output, and read_csv, its inverse, which both
-CSV readers call once with their row rules.
+I/O helpers live here too: read_text, load_json_object, float_record and
+check_fields (the one unknown-key check) for input files, csv_text for CSV
+output, and read_csv, its inverse, which both CSV readers call once with
+their row rules.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -225,10 +227,26 @@ def float_field(obj: dict, name: str, default=MISSING) -> float:
     return number
 
 
-def float_record(cls, obj: dict):
+@functools.cache
+def _field_names(cls) -> frozenset[str]:
+    return frozenset(f.name for f in fields(cls))
+
+
+def check_fields(obj: dict, cls, where: str = "") -> None:
+    """ValueError naming the first key of obj that is not a field of the dataclass cls."""
+    known = _field_names(cls)
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"{where}unknown field {key!r}")
+
+
+def float_record(cls, obj: dict, where: str = ""):
     """cls(...) with each dataclass field read from obj by float_field, in field
-    order; an absent field takes its dataclass default, one without a default is required."""
-    return cls(**{f.name: float_field(obj, f.name, f.default) for f in fields(cls)})
+    order; an absent field takes its dataclass default, one without a default is
+    required, and a key that is not a field is rejected by check_fields."""
+    record = cls(**{f.name: float_field(obj, f.name, f.default) for f in fields(cls)})
+    check_fields(obj, cls, where)
+    return record
 
 
 def int_field(obj: dict, name: str) -> int:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from busloss.cli import main
+from busloss.cli import build_parser, main
 from busloss.geometry import default_layout, layout_to_dict
 from busloss.models import HeightClass, Region, builtin_model, model_to_dict
 
@@ -170,6 +170,10 @@ class TestJsonInputs:
         (["footprint", "--height", "upper", "--active", "14", "--seed", "1",
           "--config", "{f}"], '{"tx_power_dbm": "x"}', "tx_power_dbm"),
         (["sweep", "--height", "upper", "--layout", "{f}"], "[]", "JSON object"),
+        (["sweep", "--height", "upper", "--config", "{f}"], '{"tx_power_dbn": 30}',
+         "unknown field 'tx_power_dbn'"),
+        (["process", "{d}", "{f}"], '{"radiated_power_db": 0.0, "tx_power_dbn": 30}',
+         "unknown field 'tx_power_dbn'"),
     ])
     def test_malformed_file_exit_2(self, capsys, tmp_path, argv, content, expected):
         path = tmp_path / "input.json"
@@ -604,6 +608,47 @@ class TestSweepAndFootprint:
         rows = json.loads(out)
         assert len(rows) == 30
         assert {"seat", "snr_db", "coverage", "extrapolated"} <= set(rows[0])
+
+
+class TestParserCache:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_in_process_sequence_matches_fresh_parser(self, capsys, noiseless_csv):
+        """Every call through the cached parser gives what a freshly built one gives,
+        whatever the calls before it set, printed or failed on."""
+        footprint = ["footprint", "--height", "upper", "--active", "14,2", "--seed", "3",
+                     "--draws", "50"]
+        sequence = [
+            [*footprint, "--format", "json"],
+            footprint,
+            ["--help"],
+            ["sweep", "--height", "lower", "--use-all-model"],
+            ["bogus"],
+            ["sweep", "--height", "lower"],
+            ["fit", str(noiseless_csv), "--by-group"],
+            ["sweep", "--help"],
+            ["fit", str(noiseless_csv)],
+        ]
+
+        def call(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            return (code, *capsys.readouterr())
+
+        cached = [call(argv) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            build_parser.cache_clear()
+            fresh.append(call(argv))
+        assert cached == fresh
+        assert cached[0][1].startswith("[") and not cached[1][1].startswith("[")
+        assert cached[3][1] != cached[5][1]
+        assert cached[6][1] != cached[8][1]
+        assert [result[0] for result in cached] == [
+            0, 0, ("exit", 0), 0, ("exit", 2), 0, 0, ("exit", 0), 0]
 
 
 class TestCompare:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from importlib import resources
 
 import pytest
 
@@ -55,10 +56,17 @@ class TestDefaultLayout:
     def test_each_call_returns_a_fresh_layout(self):
         first = default_layout()
         first.height_mode = "seat_relative"
-        first.seats.clear()
+        first.seats.append(SeatSpec(31, 1.0, 1.0, 0.5, Region.A))
+        first.rx = Point3(0, 0, 0)
         second = default_layout()
+        assert second is not first and second.seats is not first.seats
         assert second.height_mode == "floor"
         assert len(second.seats) == 30
+        shipped = resources.files("busloss") / "data" / "default_layout.json"
+        assert layout_to_dict(second) == layout_to_dict(
+            layout_from_dict(json.loads(shipped.read_text(encoding="utf-8"))))
+        second.seats.clear()
+        assert len(default_layout().seats) == 30
 
     def test_eligible_counts(self):
         layout = default_layout()
