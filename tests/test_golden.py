@@ -47,6 +47,11 @@ CASES = {
     "eval": [["eval", "--model", "B/lower", "--distances", "0.25:20:0.25"]],
     "compare": [["compare", "--model-a", "C/upper", "--model-b", "other.json",
                  "--distances", "0.5:15:0.5"]],
+    "verify": [["verify"]],
+    "fit": [
+        ["synth", "--model", "All/lower", "--height", "lower", "--seed", "5", "-o", "s.csv"],
+        ["fit", "s.csv"],
+    ],
 }
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
