@@ -24,6 +24,7 @@ from .geometry import (
     default_layout,
     link_distance,
     load_layout,
+    seat_links,
     seats_in_group,
     tx_position,
 )
@@ -51,8 +52,10 @@ from .models import (
     fspl,
     from_combined_form,
     mean_path_loss,
+    path_loss_band,
     sample_path_loss,
     to_combined_form,
+    verify_registry,
 )
 from .pdp import (
     LinkCalibration,

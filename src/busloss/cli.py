@@ -1,6 +1,9 @@
 """Command-line front end for fitting, evaluating and simulating the bus channel.
 
 Subcommands: fit, eval, verify, process, synth, sweep, footprint, compare.
+Each cmd_* function only resolves its arguments, makes one library call for
+its result, and formats or writes that result; the domain code lives in the
+library, where library users reach it too.
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 input/parse error, 3 insufficient data, 4 ineligible request.
 Commands report failure by raising: ValueError (2), fit.InsufficientDataError
@@ -35,10 +38,10 @@ from .models import (
     float_record,
     is_extrapolated,
     load_json_object,
-    mean_path_loss,
     model_from_dict,
+    path_loss_band,
     read_text,
-    to_combined_form,
+    verify_registry,
 )
 
 EXIT_OK = 0
@@ -47,19 +50,8 @@ EXIT_INPUT = 2
 EXIT_INSUFFICIENT = 3
 EXIT_INELIGIBLE = 4
 
-# 5th/95th percentile of a unit normal.
-Z95 = 1.6449
-
 # Largest a:b:step distance grid; a larger one exits 2 before anything is allocated.
 MAX_GRID_POINTS = 1_000_000
-
-# Rounded coefficients the pooled models must reproduce: combined-form
-# slope (10*beta) and shadowing variance (sigma^2), plus alpha to 1 decimal.
-_ROUNDED_COMBINED = {
-    HeightClass.LOWER: {"alpha": (85.2, 0.05), "slope": (17.4, 0.05), "var": (6.5, 0.06)},
-    HeightClass.UPPER: {"alpha": (82.9, 0.05), "slope": (20.3, 0.05), "var": (5.5, 0.03)},
-}
-
 
 def _resolve_model(spec: str) -> PathLossModel:
     """A model selector: 'Region/height' for built-ins, else a JSON file path."""
@@ -76,10 +68,9 @@ def _resolve_model(spec: str) -> PathLossModel:
     return builtin_model(region, height)
 
 
-def _resolve_config(path: str | None) -> linkbudget.LinkBudgetConfig:
-    if path is None:
-        return linkbudget.LinkBudgetConfig()
-    return load_json_object(path, "budget config", partial(float_record, linkbudget.LinkBudgetConfig))
+def _load_record(cls, kind: str, path: str | None):
+    """A cls read from a JSON file of its fields, or cls() when path is None."""
+    return cls() if path is None else load_json_object(path, kind, partial(float_record, cls))
 
 
 def _resolve_layout(path: str | None) -> geometry.BusLayout:
@@ -148,24 +139,12 @@ def _write_table(args, items, to_dict, to_csv) -> int:
 def cmd_fit(args) -> int:
     path = Path(args.samples)
     samples = fitmod.samples_from_csv(read_text(args.samples, "sample"), source=str(path))
-
-    if args.by_group:
-        if samples.region is None or samples.height is None:
-            raise ValueError(f"{path}: --by-group needs region and height columns")
-        partition = fitmod.fit_by_partition(samples)
-        if not partition.fits:
-            raise fitmod.InsufficientDataError("no cell has enough samples to fit")
-        out = {
-            f"{key[0].value}/{key[1].value}": fitmod.fit_result_to_dict(res)
-            for key, res in partition.fits.items()
-        }
-        if partition.skipped:
-            out["skipped"] = [
-                {"region": r.value, "height": h.value, "n": n}
-                for r, h, n in partition.skipped
-            ]
-    else:
+    if not args.by_group:
         out = fitmod.fit_result_to_dict(fitmod.fit_log_distance(samples))
+    elif samples.region is None or samples.height is None:
+        raise ValueError(f"{path}: --by-group needs region and height columns")
+    else:
+        out = fitmod.partition_to_dict(fitmod.fit_by_partition(samples))
     _write_output(json.dumps(out, indent=2) + "\n", args.output)
     return EXIT_OK
 
@@ -173,11 +152,10 @@ def cmd_fit(args) -> int:
 def cmd_eval(args) -> int:
     model = _resolve_model(args.model)
     grid = _parse_range(args.distances)
-    spread = Z95 * model.sigma_db
     rows = []
     for d in grid:
-        mean = mean_path_loss(model, float(d))
-        rows.append((f"{d:.4f}", f"{mean:.4f}", f"{mean - spread:.4f}", f"{mean + spread:.4f}"))
+        mean, p05, p95 = path_loss_band(model, d)
+        rows.append((f"{d:.4f}", f"{mean:.4f}", f"{p05:.4f}", f"{p95:.4f}"))
     flagged = sum(is_extrapolated(d) for d in grid)
     if flagged:
         lo, hi = FITTED_RANGE_M
@@ -188,37 +166,6 @@ def cmd_eval(args) -> int:
         )
     _write_output(csv_text(("distance_m", "mean_pl_db", "p05_db", "p95_db"), rows), args.output)
     return EXIT_OK
-
-
-def verify_registry(registry=None) -> tuple[bool, list[dict]]:
-    """Check the pooled models against their rounded combined-form coefficients."""
-    registry = registry if registry is not None else builtin_registry()
-    rows = []
-    ok = True
-    for height, checks in _ROUNDED_COMBINED.items():
-        model = registry[(Region.ALL, height)]
-        form = to_combined_form(model)
-        actual = {
-            "alpha": round(form.alpha_db, 1),
-            "slope": form.slope_db_per_decade,
-            "var": form.variance_db2,
-        }
-        for name, (expected, tol) in checks.items():
-            delta = actual[name] - expected
-            passed = abs(delta) <= tol
-            ok = ok and passed
-            rows.append(
-                {
-                    "height": height.value,
-                    "quantity": name,
-                    "expected": expected,
-                    "actual": actual[name],
-                    "delta": delta,
-                    "tolerance": tol,
-                    "pass": passed,
-                }
-            )
-    return ok, rows
 
 
 def cmd_verify(args) -> int:
@@ -234,12 +181,8 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-def _load_calibration(path: str) -> pdp.LinkCalibration:
-    return load_json_object(path, "calibration", partial(float_record, pdp.LinkCalibration))
-
-
 def cmd_process(args) -> int:
-    cal = _load_calibration(args.calibration)
+    cal = _load_record(pdp.LinkCalibration, "calibration", args.calibration)
     sets = pdp.load_measurement_dir(args.measurement_dir)
     layout = _resolve_layout(args.layout) if args.layout else None
     samples = pdp.measurements_to_samples(sets, cal, layout)
@@ -251,23 +194,22 @@ def cmd_synth(args) -> int:
     model = _resolve_model(args.model)
     layout = _resolve_layout(args.layout)
     height = _resolve_height(args.height)
-    seat_ids = geometry.seats_in_group(layout, Region.ALL, height)
-    distances = [geometry.link_distance(layout, s, height) for s in seat_ids]
+    links = geometry.seat_links(layout, height)
 
     if args.pdp_dir is not None:
         if args.calibration is None:
             raise ValueError("--pdp-dir requires --calibration")
-        cal = _load_calibration(args.calibration)
+        cal = _load_record(pdp.LinkCalibration, "calibration", args.calibration)
         sets = pdp.synth_measurements(
-            model, zip(seat_ids, distances), height, cal, args.sweeps, args.seed
+            model, [(s, d) for s, _, d in links], height, cal, args.sweeps, args.seed
         )
         pdp.write_measurement_dir(args.pdp_dir, sets)
         return EXIT_OK
 
-    drawn = fitmod.synth_samples(model, distances, args.seed)
+    drawn = fitmod.synth_samples(model, [d for _, _, d in links], args.seed)
     samples = fitmod.SampleSet(
-        drawn.distance_m, drawn.path_loss_db, seat=list(seat_ids),
-        region=[layout.seat(s).group for s in seat_ids], height=[height] * len(seat_ids),
+        drawn.distance_m, drawn.path_loss_db, seat=[s for s, _, _ in links],
+        region=[group for _, group, _ in links], height=[height] * len(links),
     )
     _write_output(fitmod.samples_to_csv(samples), args.output)
     return EXIT_OK
@@ -276,7 +218,7 @@ def cmd_synth(args) -> int:
 def cmd_sweep(args) -> int:
     layout = _resolve_layout(args.layout)
     height = _resolve_height(args.height)
-    config = _resolve_config(args.config)
+    config = _load_record(linkbudget.LinkBudgetConfig, "budget config", args.config)
     reports = linkbudget.seat_sweep(
         layout, builtin_registry(), config, height, use_all_model=args.use_all_model
     )
@@ -286,7 +228,7 @@ def cmd_sweep(args) -> int:
 def cmd_footprint(args) -> int:
     layout = _resolve_layout(args.layout)
     height = _resolve_height(args.height)
-    config = _resolve_config(args.config)
+    config = _load_record(linkbudget.LinkBudgetConfig, "budget config", args.config)
     try:
         active = [int(s) for s in args.active.split(",") if s.strip()]
     except ValueError:

@@ -197,3 +197,16 @@ def fit_result_to_dict(result: FitResult) -> dict:
     out["r_squared"] = result.r_squared
     out["n"] = result.n
     return out
+
+
+def partition_to_dict(partition: PartitionFit) -> dict:
+    """The by-group table: fit_result_to_dict of each fitted cell under its
+    "Region/height" name, then, if any cell was skipped, the list "skipped".
+    A partition with no fitted cell raises InsufficientDataError."""
+    if not partition.fits:
+        raise InsufficientDataError("no cell has enough samples to fit")
+    out = {f"{r.value}/{h.value}": fit_result_to_dict(res) for (r, h), res in partition.fits.items()}
+    if partition.skipped:
+        out["skipped"] = [{"region": r.value, "height": h.value, "n": n}
+                          for r, h, n in partition.skipped]
+    return out

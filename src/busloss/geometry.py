@@ -13,9 +13,10 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from typing import Sequence
 
 from .models import (
     HeightClass,
@@ -157,6 +158,16 @@ def seats_in_group(
     return ids
 
 
+def seat_links(layout: BusLayout, height: HeightClass,
+               seat_ids: Sequence[int] | None = None) -> list[tuple[int, Region, float]]:
+    """(seat id, group, link distance) of each seat at the height class, in order:
+    the given seats, or by default every eligible one. All seats are resolved on
+    the call, so an unknown or excluded seat raises before any later check."""
+    if seat_ids is None:
+        seat_ids = seats_in_group(layout, Region.ALL, height)
+    return [(s, layout.seat(s).group, link_distance(layout, s, height)) for s in seat_ids]
+
+
 def default_layout() -> BusLayout:
     """The shipped 30-seat city-bus layout, read from data/default_layout.json.
 
@@ -180,21 +191,11 @@ def layout_to_dict(layout: BusLayout) -> dict:
     return {
         "length_m": layout.length_m,
         "width_m": layout.width_m,
-        "rx": {"x": layout.rx.x, "y": layout.rx.y, "z": layout.rx.z},
+        "rx": asdict(layout.rx),
         "upper_height_m": layout.upper_height_m,
         "lower_height_m": layout.lower_height_m,
         "height_mode": layout.height_mode,
-        "seats": [
-            {
-                "id": seat.id,
-                "x": seat.x,
-                "y": seat.y,
-                "seat_height_m": seat.seat_height_m,
-                "group": seat.group.value,
-                "lower_excluded": seat.lower_excluded,
-            }
-            for seat in layout.seats
-        ],
+        "seats": [{**asdict(seat), "group": seat.group.value} for seat in layout.seats],
     }
 
 

@@ -13,7 +13,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import BusLayout, link_distance, seats_in_group
+from .geometry import BusLayout, seat_links, seats_in_group
 from .models import (
     HeightClass,
     PathLossModel,
@@ -122,19 +122,14 @@ def shannon_rate(snr_db: float, bandwidth_hz: float) -> float:
         return bandwidth_hz * snr_db / 10.0 * math.log2(10.0)
 
 
-def _seat_links(
-    layout: BusLayout,
-    models: ModelMap,
-    height: HeightClass,
-    seat_ids: Sequence[int],
-    use_all_model: bool,
-) -> Iterator[tuple[int, PathLossModel, float, float]]:
-    """Yield (seat id, model, distance, mean path loss) for each seat in order."""
-    for seat_id in seat_ids:
-        region = Region.ALL if use_all_model else layout.seat(seat_id).group
-        model = models[(region, height)]
-        d = link_distance(layout, seat_id, height)
-        yield seat_id, model, d, mean_path_loss(model, d)
+def _seat_links(layout: BusLayout, models: ModelMap, height: HeightClass,
+                seat_ids: Sequence[int] | None, use_all_model: bool):
+    """(seat id, model, distance, mean path loss) for each seat of seat_links in order."""
+    links = []
+    for seat_id, group, d in seat_links(layout, height, seat_ids):
+        model = models[(Region.ALL if use_all_model else group, height)]
+        links.append((seat_id, model, d, mean_path_loss(model, d)))
+    return links
 
 
 def seat_sweep(
@@ -150,9 +145,8 @@ def seat_sweep(
     budget margin implied by the SNR threshold.
     """
     pl_max = max_path_loss_db(config)
-    seat_ids = seats_in_group(layout, Region.ALL, height)
     reports = []
-    for seat_id, model, d, pl in _seat_links(layout, models, height, seat_ids, use_all_model):
+    for seat_id, model, d, pl in _seat_links(layout, models, height, None, use_all_model):
         snr = link_snr(config, pl)
         reports.append(
             SeatReport(
@@ -186,7 +180,7 @@ def _shadowed_path_loss(
     block exists: n_draws must be >= 1 and n_draws * len(seat_ids) at most
     MAX_DRAW_LINKS.
     """
-    links = list(_seat_links(layout, models, height, seat_ids, use_all_model))
+    links = _seat_links(layout, models, height, seat_ids, use_all_model)
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     if n_draws * len(links) > MAX_DRAW_LINKS:

@@ -3,7 +3,9 @@
 The model is L(d) = alpha + 10*beta*log10(d) + X, where X is a zero-mean
 Gaussian shadow-fading term with standard deviation sigma (all in dB).
 Ten fitted parameter sets ship with the package, one per seat region
-(A-D plus the pooled "All" set) and transmitter height class. The shared
+(A-D plus the pooled "All" set) and transmitter height class;
+verify_registry checks the pooled sets against the paper's rounded
+coefficients, and path_loss_band gives the 5-95% shadowing band. The shared
 I/O helpers live here too: read_text, load_json_object, float_record and
 check_fields (the one unknown-key check) for input files, csv_text for CSV
 output, and read_csv, its inverse, which both CSV readers call once with
@@ -28,6 +30,9 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # Distances outside this window are extrapolations beyond the measured range
 # (roughly one bus length); evaluation succeeds but results carry a flag.
 FITTED_RANGE_M = (0.5, 15.0)
+
+# 5th/95th percentile of a unit normal.
+Z95 = 1.6449
 
 
 class Region(Enum):
@@ -94,6 +99,14 @@ def mean_path_loss(model: PathLossModel, d: float) -> float:
     """Deterministic mean path loss in dB at distance d metres."""
     d = _check_distance(d)
     return model.alpha_db + 10.0 * model.beta * math.log10(d)
+
+
+def path_loss_band(model: PathLossModel, d: float) -> tuple[float, float, float]:
+    """(mean, p05, p95) path loss in dB at d metres: the mean, then the 5th and
+    95th percentiles of the shadow-faded loss, mean -/+ Z95*sigma_db."""
+    mean = mean_path_loss(model, d)
+    spread = Z95 * model.sigma_db
+    return mean, mean - spread, mean + spread
 
 
 def is_extrapolated(d: float) -> bool:
@@ -183,23 +196,48 @@ _BUILTIN_PARAMS: dict[tuple[Region, HeightClass], tuple[float, float, float]] = 
 }
 
 
+# The ten shipped models, built once; PathLossModel is frozen, so they are shared.
+_BUILTIN_MODELS = {key: PathLossModel(*params, *key) for key, params in _BUILTIN_PARAMS.items()}
+
+# The paper's rounded coefficients the pooled models must reproduce: combined-form
+# slope (10*beta) and shadowing variance (sigma^2), plus alpha to 1 decimal, each
+# as (value, tolerance).
+_ROUNDED_COMBINED = {
+    HeightClass.LOWER: {"alpha": (85.2, 0.05), "slope": (17.4, 0.05), "var": (6.5, 0.06)},
+    HeightClass.UPPER: {"alpha": (82.9, 0.05), "slope": (20.3, 0.05), "var": (5.5, 0.03)},
+}
+
+
 def builtin_models() -> list[PathLossModel]:
     """All ten shipped parameter sets, regions A-D and All at both heights."""
-    return [
-        PathLossModel(alpha, beta, sigma, region=r, height=h)
-        for (r, h), (alpha, beta, sigma) in _BUILTIN_PARAMS.items()
-    ]
+    return list(_BUILTIN_MODELS.values())
 
 
 def builtin_model(region: Region, height: HeightClass) -> PathLossModel:
     """Look up one shipped parameter set."""
-    alpha, beta, sigma = _BUILTIN_PARAMS[(region, height)]
-    return PathLossModel(alpha, beta, sigma, region=region, height=height)
+    return _BUILTIN_MODELS[(region, height)]
 
 
 def builtin_registry() -> dict[tuple[Region, HeightClass], PathLossModel]:
-    """Shipped parameter sets keyed by (region, height)."""
-    return {key: builtin_model(*key) for key in _BUILTIN_PARAMS}
+    """Shipped parameter sets keyed by (region, height), in a fresh dict the caller may change."""
+    return dict(_BUILTIN_MODELS)
+
+
+def verify_registry(registry=None) -> tuple[bool, list[dict]]:
+    """Check the pooled models (the shipped ones by default) against the paper's
+    rounded combined-form coefficients: whether every check passes, and one row
+    per height and quantity."""
+    registry, rows = _BUILTIN_MODELS if registry is None else registry, []
+    for height, checks in _ROUNDED_COMBINED.items():
+        form = to_combined_form(registry[(Region.ALL, height)])
+        actual = {"alpha": round(form.alpha_db, 1), "slope": form.slope_db_per_decade,
+                  "var": form.variance_db2}
+        for name, (expected, tol) in checks.items():
+            delta = actual[name] - expected
+            rows.append({"height": height.value, "quantity": name, "expected": expected,
+                         "actual": actual[name], "delta": delta, "tolerance": tol,
+                         "pass": abs(delta) <= tol})
+    return all(row["pass"] for row in rows), rows
 
 
 def model_to_dict(model: PathLossModel) -> dict:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .fit import SampleSet
-from .geometry import BusLayout
+from .geometry import BusLayout, SeatNotFoundError
 from .models import (
     SPEED_OF_LIGHT,
     HeightClass,
@@ -154,6 +154,14 @@ def aggregate_measurement(
     return distance, path_loss_from_power(cal, 10.0 * math.log10(mean_rx))
 
 
+def _group(layout: BusLayout, mset: MeasurementSet):
+    """The layout group of a set's seat; SeatNotFoundError names the set's directory."""
+    try:
+        return layout.seat(mset.seat).group
+    except SeatNotFoundError as exc:
+        raise SeatNotFoundError(f"{mset.seat}_{mset.height.value}: {exc.args[0]}") from None
+
+
 def measurements_to_samples(
     sets: Sequence[MeasurementSet], cal: LinkCalibration, layout: BusLayout | None = None
 ) -> SampleSet:
@@ -164,7 +172,7 @@ def measurements_to_samples(
         pairs[:, 0],
         pairs[:, 1],
         seat=[mset.seat for mset in sets],
-        region=None if layout is None else [layout.seat(mset.seat).group for mset in sets],
+        region=None if layout is None else [_group(layout, mset) for mset in sets],
         height=[mset.height for mset in sets],
     )
 

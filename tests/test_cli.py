@@ -385,6 +385,17 @@ class TestProcessPipeline:
         assert err.startswith("error: 14_upper: ") and reason in err
         assert err.count("\n") == 1
 
+    def test_set_seat_missing_from_layout_names_set(self, capsys, tmp_path):
+        cal = tmp_path / "cal.json"
+        cal.write_text('{"radiated_power_db": 0.0}')
+        root = write_set(tmp_path / "pdp", [["13.5,-90"]])
+        write_set(root, [["13.5,-90"]], seat=99)
+        layout = tmp_path / "layout.json"
+        layout.write_text(json.dumps(layout_to_dict(default_layout())))
+        code, out, err = run(capsys, "process", str(root), str(cal), "--layout", str(layout))
+        assert (code, out) == (4, "")
+        assert err == "error: 99_upper: no seat with id 99\n"
+
     @pytest.mark.parametrize("command", ["synth", "process"])
     def test_calibration_sum_overflow_exit_2(self, capsys, tmp_path, command):
         cal = tmp_path / "cal.json"

@@ -9,6 +9,8 @@ from busloss.fit import (
     SampleSet,
     fit_by_partition,
     fit_log_distance,
+    fit_result_to_dict,
+    partition_to_dict,
     samples_from_csv,
     samples_to_csv,
     synth_samples,
@@ -185,6 +187,32 @@ class TestFitByPartition:
         result = fit_by_partition(samples)
         assert result.fits == {}
         assert (Region.A, HeightClass.LOWER, 2) in result.skipped
+
+
+class TestPartitionToDict:
+    def test_cells_then_skipped(self):
+        model = builtin_model(Region.B, HeightClass.UPPER)
+        d = [1.0, 2.0, 3.0, 4.0, 1.5, 2.5]
+        samples = noiseless_samples(model, d)
+        samples.region = [Region.B] * 4 + [Region.C] * 2
+        samples.height = [HeightClass.UPPER] * 6
+        partition = fit_by_partition(samples)
+        out = partition_to_dict(partition)
+        assert list(out) == ["B/upper", "All/upper", "skipped"]
+        assert out["B/upper"] == fit_result_to_dict(partition.fits[(Region.B, HeightClass.UPPER)])
+        assert out["skipped"] == [{"region": "C", "height": "upper", "n": 2}]
+
+    def test_no_skipped_key_when_every_cell_fits(self):
+        model = builtin_model(Region.A, HeightClass.LOWER)
+        samples = noiseless_samples(model, [1.0, 2.0, 3.0])
+        samples.region, samples.height = [Region.A] * 3, [HeightClass.LOWER] * 3
+        assert list(partition_to_dict(fit_by_partition(samples))) == ["A/lower", "All/lower"]
+
+    def test_no_fitted_cell_raises(self):
+        samples = SampleSet([1.0, 2.0], [85.0, 90.0], region=[Region.A] * 2,
+                            height=[HeightClass.LOWER] * 2)
+        with pytest.raises(InsufficientDataError, match="no cell"):
+            partition_to_dict(fit_by_partition(samples))
 
 
 class TestSynthSamples:

@@ -18,6 +18,7 @@ from busloss.geometry import (
     layout_to_dict,
     link_distance,
     load_layout,
+    seat_links,
     seats_in_group,
     tx_position,
 )
@@ -154,6 +155,28 @@ class TestLinkDistance:
         for seat in layout.seats:
             d = link_distance(layout, seat.id, HeightClass.UPPER)
             assert 1.0 <= d <= 12.0
+
+
+class TestSeatLinks:
+    @pytest.mark.parametrize("mode", ["floor", "seat_relative"])
+    @pytest.mark.parametrize("height", list(HeightClass))
+    def test_matches_group_and_distance_of_each_seat(self, mode, height):
+        layout = default_layout()
+        layout.height_mode = mode
+        ids = seats_in_group(layout, Region.ALL, height)
+        expected = [(s, layout.seat(s).group, link_distance(layout, s, height)) for s in ids]
+        assert seat_links(layout, height) == expected
+        assert seat_links(layout, height, ids[::-1]) == expected[::-1]
+
+    def test_given_seats_kept_in_order(self):
+        links = seat_links(default_layout(), HeightClass.UPPER, [14, 2, 30])
+        assert [(s, g) for s, g, _ in links] == [(14, Region.B), (2, Region.A), (30, Region.D)]
+
+    @pytest.mark.parametrize("seats, error", [
+        ([14, 99], SeatNotFoundError), ([14, 5], ExcludedPositionError)])
+    def test_every_seat_resolved_on_call(self, seats, error):
+        with pytest.raises(error):
+            seat_links(default_layout(), HeightClass.LOWER, seats)
 
 
 class TestLayoutIo:

@@ -29,10 +29,12 @@ from busloss.models import (
     mean_path_loss,
     model_from_dict,
     model_to_json,
+    path_loss_band,
     read_csv,
     read_text,
     sample_path_loss,
     to_combined_form,
+    verify_registry,
 )
 
 ALL_LOWER = builtin_model(Region.ALL, HeightClass.LOWER)
@@ -132,6 +134,67 @@ class TestRegistry:
     def test_registry_matches_list(self):
         registry = builtin_registry()
         assert set(registry.values()) == set(builtin_models())
+
+    def test_models_built_once(self):
+        for key in builtin_registry():
+            assert builtin_model(*key) is builtin_registry()[key]
+        assert all(m is builtin_model(m.region, m.height) for m in builtin_models())
+
+    def test_registry_copy_is_the_callers(self):
+        key = (Region.ALL, HeightClass.LOWER)
+        registry = builtin_registry()
+        registry[key] = PathLossModel(1.0, 1.0, 1.0)
+        del registry[(Region.A, HeightClass.UPPER)]
+        fresh = builtin_registry()
+        assert len(fresh) == 10
+        assert fresh[key] is ALL_LOWER
+
+
+class TestVerifyRegistry:
+    def test_shipped_registry_passes(self):
+        ok, rows = verify_registry()
+        assert ok
+        assert [(r["height"], r["quantity"]) for r in rows] == [
+            (h, q) for h in ("lower", "upper") for q in ("alpha", "slope", "var")]
+        assert verify_registry(builtin_registry()) == (ok, rows)
+
+    def test_perturbed_registry_fails_only_its_row(self):
+        registry = builtin_registry()
+        key = (Region.ALL, HeightClass.UPPER)
+        registry[key] = PathLossModel(82.86, 2.1, 2.34, *key)
+        ok, rows = verify_registry(registry)
+        assert not ok
+        failed = [(r["height"], r["quantity"]) for r in rows if not r["pass"]]
+        assert failed == [("upper", "slope")]
+        slope = rows[4]
+        assert slope["actual"] == pytest.approx(21.0)
+        assert slope["delta"] == pytest.approx(0.7)
+
+
+class TestPathLossBand:
+    @pytest.mark.parametrize("model", builtin_models())
+    @pytest.mark.parametrize("d", [0.25, 1.0, 3.7, 15.0, 40.0])
+    def test_mean_plus_minus_z95_sigma(self, model, d):
+        mean, p05, p95 = path_loss_band(model, d)
+        assert mean == mean_path_loss(model, d)
+        assert p05 == mean - 1.6449 * model.sigma_db
+        assert p95 == mean + 1.6449 * model.sigma_db
+
+    def test_empirical_percentiles(self):
+        # The sample 5th and 95th percentiles of 10^6 draws have a standard error
+        # of sqrt(0.05*0.95/n)/pdf(1.645)*sigma = 0.0050 dB at sigma 2.34 dB, and
+        # 1.6449 is 5e-5 from the exact quantile; 0.02 dB is four errors wide.
+        draws = sample_path_loss(ALL_UPPER, 4.0, np.random.default_rng(5), size=10**6)
+        _, p05, p95 = path_loss_band(ALL_UPPER, 4.0)
+        assert np.percentile(draws, [5, 95]) == pytest.approx([p05, p95], abs=0.02)
+
+    def test_zero_sigma_collapses(self):
+        assert len(set(path_loss_band(PathLossModel(80.0, 2.0, 0.0), 2.0))) == 1
+
+    @pytest.mark.parametrize("d", [0.0, -1.0, math.nan])
+    def test_bad_distance_rejected(self, d):
+        with pytest.raises(ValueError, match="distance"):
+            path_loss_band(ALL_LOWER, d)
 
 
 class TestCombinedForm:
