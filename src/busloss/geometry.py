@@ -74,7 +74,8 @@ class SeatSpec:
 
 @dataclass
 class BusLayout:
-    """Immutable-after-load description of the vehicle interior."""
+    """The vehicle interior, validated when built. `seats` is the only record of the seats:
+    `seat` and every link function read it when called, so a caller's edit is seen whole."""
 
     length_m: float
     width_m: float
@@ -112,60 +113,66 @@ class BusLayout:
                 problems.append(f"seat {seat.id}: group must be one of A-D, not All")
         if problems:
             raise LayoutError("; ".join(problems))
-        self._by_id = {seat.id: seat for seat in self.seats}
 
     def seat(self, seat_id: int) -> SeatSpec:
-        try:
-            return self._by_id[seat_id]
-        except KeyError:
-            raise SeatNotFoundError(f"no seat with id {seat_id}") from None
+        """The first seat in `seats` with this id, found by scanning the list."""
+        for seat in self.seats:
+            if seat.id == seat_id:
+                return seat
+        raise SeatNotFoundError(f"no seat with id {seat_id}")
+
+
+def _excluded(seat: SeatSpec, height: HeightClass) -> bool:
+    """True for the lower position of a wheel-arch seat, the one excluded position."""
+    return height == HeightClass.LOWER and seat.lower_excluded
+
+
+def _tx_z(layout: BusLayout, seat: SeatSpec, height: HeightClass) -> float:
+    """Transmitter height of a seat; ExcludedPositionError on a wheel arch."""
+    if _excluded(seat, height):
+        raise ExcludedPositionError(f"seat {seat.id} has no lower position (wheel arch)")
+    if layout.height_mode == "seat_relative":
+        z = seat.seat_height_m
+        if height == HeightClass.UPPER:
+            z += SEAT_RELATIVE_UPPER_OFFSET_M
+        return z
+    return layout.upper_height_m if height == HeightClass.UPPER else layout.lower_height_m
+
+
+def _distance(layout: BusLayout, seat: SeatSpec, height: HeightClass) -> float:
+    """3-D Euclidean distance from the receiver to the seat's transmitter."""
+    rx, z = layout.rx, _tx_z(layout, seat, height)
+    return math.sqrt((seat.x - rx.x) ** 2 + (seat.y - rx.y) ** 2 + (z - rx.z) ** 2)
 
 
 def tx_position(layout: BusLayout, seat_id: int, height: HeightClass) -> Point3:
     """Transmitter coordinates for a seat at the given height class."""
     seat = layout.seat(seat_id)
-    if height == HeightClass.LOWER and seat.lower_excluded:
-        raise ExcludedPositionError(
-            f"seat {seat_id} has no lower position (wheel arch)"
-        )
-    if layout.height_mode == "seat_relative":
-        z = seat.seat_height_m
-        if height == HeightClass.UPPER:
-            z += SEAT_RELATIVE_UPPER_OFFSET_M
-    else:
-        z = layout.upper_height_m if height == HeightClass.UPPER else layout.lower_height_m
-    return Point3(seat.x, seat.y, z)
+    return Point3(seat.x, seat.y, _tx_z(layout, seat, height))
 
 
 def link_distance(layout: BusLayout, seat_id: int, height: HeightClass) -> float:
     """3-D Euclidean distance from the receiver to the transmitter position."""
-    tx = tx_position(layout, seat_id, height)
-    rx = layout.rx
-    return math.sqrt((tx.x - rx.x) ** 2 + (tx.y - rx.y) ** 2 + (tx.z - rx.z) ** 2)
+    return _distance(layout, layout.seat(seat_id), height)
 
 
-def seats_in_group(
-    layout: BusLayout, region: Region, height: HeightClass
-) -> list[int]:
+def seats_in_group(layout: BusLayout, region: Region, height: HeightClass) -> list[int]:
     """Seat ids eligible at the given height; Region.ALL selects every group."""
-    ids = []
-    for seat in layout.seats:
-        if region != Region.ALL and seat.group != region:
-            continue
-        if height == HeightClass.LOWER and seat.lower_excluded:
-            continue
-        ids.append(seat.id)
-    return ids
+    return [seat.id for seat in layout.seats
+            if region in (Region.ALL, seat.group) and not _excluded(seat, height)]
 
 
 def seat_links(layout: BusLayout, height: HeightClass,
                seat_ids: Sequence[int] | None = None) -> list[tuple[int, Region, float]]:
-    """(seat id, group, link distance) of each seat at the height class, in order:
-    the given seats, or by default every eligible one. All seats are resolved on
-    the call, so an unknown or excluded seat raises before any later check."""
+    """(seat id, group, link distance) of each seat at the height class, in order: by
+    default every eligible seat, in one walk of `layout.seats`. Given seats are resolved
+    on the call one at a time, so the first unknown or excluded seat raises, and for one
+    seat an unknown id before an excluded position."""
     if seat_ids is None:
-        seat_ids = seats_in_group(layout, Region.ALL, height)
-    return [(s, layout.seat(s).group, link_distance(layout, s, height)) for s in seat_ids]
+        seats = (seat for seat in layout.seats if not _excluded(seat, height))
+    else:
+        seats = map(layout.seat, seat_ids)
+    return [(seat.id, seat.group, _distance(layout, seat, height)) for seat in seats]
 
 
 def default_layout() -> BusLayout:
@@ -174,8 +181,8 @@ def default_layout() -> BusLayout:
     That file is the only copy of the seat coordinates, groups and
     exclusions. It is parsed and validated once per process; each call
     returns a fresh BusLayout with its own seat list, built and validated
-    again by BusLayout, so callers may mutate it. Only the frozen SeatSpec
-    and Point3 values are shared between calls.
+    again by BusLayout, so callers may mutate it, and every lookup sees the
+    change. Only the frozen SeatSpec and Point3 values are shared between calls.
     """
     layout = _shipped_layout()
     return replace(layout, seats=list(layout.seats))

@@ -13,7 +13,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import BusLayout, seat_links, seats_in_group
+from .geometry import BusLayout, seat_links
 from .models import (
     HeightClass,
     PathLossModel,
@@ -163,24 +163,15 @@ def seat_sweep(
     return reports
 
 
-def _shadowed_path_loss(
-    layout: BusLayout,
-    models: ModelMap,
-    height: HeightClass,
-    seat_ids: Sequence[int],
-    use_all_model: bool,
-    seed: int,
-    n_draws: int,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Path loss for n_draws draws of every link: each link's mean plus independent
-    shadowing, as (start, block) pairs of at most _DRAW_CHUNK_ROWS draws by
-    len(seat_ids) links, where block holds draws start, start + 1, ... in order.
+def _shadowed_path_loss(links, seed: int, n_draws: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Path loss for n_draws draws of every link of _seat_links: each link's mean
+    plus independent shadowing, as (start, block) pairs of at most
+    _DRAW_CHUNK_ROWS draws by len(links) links, where block holds draws start,
+    start + 1, ... in order.
 
-    Seats are resolved and n_draws is checked when this is called, before any
-    block exists: n_draws must be >= 1 and n_draws * len(seat_ids) at most
-    MAX_DRAW_LINKS.
+    n_draws is checked when this is called, before any block exists: it must be
+    >= 1 and n_draws * len(links) at most MAX_DRAW_LINKS.
     """
-    links = _seat_links(layout, models, height, seat_ids, use_all_model)
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     if n_draws * len(links) > MAX_DRAW_LINKS:
@@ -219,8 +210,7 @@ def interference_footprint(
         if seat_id in active_seats[:i]:
             raise ValueError(f"seat {seat_id} is listed more than once")
     blocks = _shadowed_path_loss(
-        layout, models, height, active_seats, use_all_model, seed, n_draws
-    )
+        _seat_links(layout, models, height, active_seats, use_all_model), seed, n_draws)
     noise_mw = 10.0 ** (noise_floor_dbm(config) / 10.0)
     sinr_db = np.empty((len(active_seats), n_draws))
     for start, pl_db in blocks:
@@ -258,8 +248,9 @@ def empirical_coverage(
 
     The draws are counted block by block, so memory does not grow with n_draws.
     """
-    seat_ids = seats_in_group(layout, Region.ALL, height)
-    blocks = _shadowed_path_loss(layout, models, height, seat_ids, use_all_model, seed, n_draws)
+    links = _seat_links(layout, models, height, None, use_all_model)
+    seat_ids = [seat_id for seat_id, _, _, _ in links]
+    blocks = _shadowed_path_loss(links, seed, n_draws)
     pl_max = max_path_loss_db(config)
     counts = np.zeros(len(seat_ids), dtype=np.int64)
     for _, pl_db in blocks:

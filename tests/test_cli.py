@@ -613,6 +613,15 @@ class TestSweepAndFootprint:
         )
         assert code == 4
 
+    def test_excluded_seat_before_unknown_seat_exit_4(self, capsys):
+        # the active seats are resolved in order, so the first bad one is named
+        code, out, err = run(
+            capsys, "footprint", "--height", "lower", "--active", "5,99",
+            "--seed", "1", "--draws", "10",
+        )
+        assert (code, out) == (4, "")
+        assert err == "error: seat 5 has no lower position (wheel arch)\n"
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "sweep", "--height", "upper", "--format", "json")
         assert code == 0

@@ -161,11 +161,27 @@ class TestSeatLinks:
     @pytest.mark.parametrize("mode", ["floor", "seat_relative"])
     @pytest.mark.parametrize("height", list(HeightClass))
     def test_matches_group_and_distance_of_each_seat(self, mode, height):
+        # The rule restated on the shipped JSON: in floor mode the transmitter is at the
+        # upper or lower height, in seat-relative mode at the seat height, plus 0.7 m at
+        # the upper height. The lower position of a wheel-arch seat does not exist.
+        shipped = resources.files("busloss") / "data" / "default_layout.json"
+        obj = json.loads(shipped.read_text(encoding="utf-8"))
+        rx, upper = obj["rx"], height == HeightClass.UPPER
+        expected = []
+        for seat in obj["seats"]:
+            if not upper and seat["lower_excluded"]:
+                continue
+            if mode == "floor":
+                z = obj["upper_height_m"] if upper else obj["lower_height_m"]
+            else:
+                z = seat["seat_height_m"] + 0.7 if upper else seat["seat_height_m"]
+            d = math.sqrt((seat["x"] - rx["x"]) ** 2 + (seat["y"] - rx["y"]) ** 2
+                          + (z - rx["z"]) ** 2)
+            expected.append((seat["id"], Region(seat["group"]), d))
         layout = default_layout()
         layout.height_mode = mode
-        ids = seats_in_group(layout, Region.ALL, height)
-        expected = [(s, layout.seat(s).group, link_distance(layout, s, height)) for s in ids]
         assert seat_links(layout, height) == expected
+        ids = [s for s, _, _ in expected]
         assert seat_links(layout, height, ids[::-1]) == expected[::-1]
 
     def test_given_seats_kept_in_order(self):
@@ -173,10 +189,41 @@ class TestSeatLinks:
         assert [(s, g) for s, g, _ in links] == [(14, Region.B), (2, Region.A), (30, Region.D)]
 
     @pytest.mark.parametrize("seats, error", [
-        ([14, 99], SeatNotFoundError), ([14, 5], ExcludedPositionError)])
+        ([14, 99], SeatNotFoundError), ([14, 5], ExcludedPositionError),
+        ([5, 99], ExcludedPositionError), ([99, 5], SeatNotFoundError)])
     def test_every_seat_resolved_on_call(self, seats, error):
         with pytest.raises(error):
             seat_links(default_layout(), HeightClass.LOWER, seats)
+
+
+class TestMutatedLayout:
+    """Every lookup reads `layout.seats` as it is when called, so a caller's edit to
+    the list of a default_layout() is seen at once, by every function."""
+
+    def test_appended_seat_found(self):
+        layout = default_layout()
+        layout.seats.append(SeatSpec(31, 1.0, 1.0, 0.5, Region.A))
+        assert layout.seat(31).x == 1.0
+        for height in HeightClass:
+            assert seat_links(layout, height)[-1] == (
+                31, Region.A, link_distance(layout, 31, height))
+        assert seat_links(layout, HeightClass.UPPER, [31])[0][0] == 31
+
+    def test_replaced_seat_seen(self):
+        layout = default_layout()
+        layout.seats[0] = SeatSpec(1, 3.0, 0.5, 0.5, Region.B)
+        rx = layout.rx
+        d = math.sqrt((3.0 - rx.x) ** 2 + (0.5 - rx.y) ** 2 + (layout.upper_height_m - rx.z) ** 2)
+        assert layout.seat(1).group == Region.B
+        assert seat_links(layout, HeightClass.UPPER)[0] == (1, Region.B, d)
+        assert seat_links(layout, HeightClass.UPPER, [1]) == [(1, Region.B, d)]
+
+    def test_removed_seat_gone(self):
+        layout = default_layout()
+        layout.seats.remove(layout.seat(14))
+        with pytest.raises(SeatNotFoundError, match="no seat with id 14"):
+            seat_links(layout, HeightClass.UPPER, [14])
+        assert 14 not in [s for s, _, _ in seat_links(layout, HeightClass.UPPER)]
 
 
 class TestLayoutIo:

@@ -21,6 +21,7 @@ from busloss.linkbudget import (
     _DRAW_CHUNK_ROWS,
     MAX_DRAW_LINKS,
     LinkBudgetConfig,
+    _seat_links,
     _shadowed_path_loss,
     empirical_coverage,
     interference_footprint,
@@ -284,6 +285,24 @@ class TestEmpiricalCoverage:
             assert abs(fraction - p) <= margin
 
 
+class TestMutatedLayout:
+    """A seat appended to a default_layout() takes part in every link-budget function."""
+
+    @pytest.mark.parametrize("height", list(HeightClass))
+    def test_appended_seat_in_every_result(self, height):
+        layout = default_layout()
+        layout.seats.append(SeatSpec(31, 1.0, 1.0, 0.5, Region.A))
+        registry = builtin_registry()
+        d = link_distance(layout, 31, height)
+        report = seat_sweep(layout, registry, CONFIG, height)[-1]
+        assert (report.seat_id, report.distance_m) == (31, d)
+        footprint = interference_footprint(layout, registry, CONFIG, [31, 14], height, 1, 50)
+        assert [s.seat_id for s in footprint] == [31, 14]
+        coverage = empirical_coverage(layout, registry, CONFIG, height, 1, 50)
+        assert list(coverage)[-1] == 31
+        assert list(coverage) == [r.seat_id for r in seat_sweep(layout, registry, CONFIG, height)]
+
+
 LAYOUT = default_layout()
 REGISTRY = builtin_registry()
 UPPER_SEATS = seats_in_group(LAYOUT, Region.ALL, HeightClass.UPPER)
@@ -316,7 +335,7 @@ class TestDrawBlocks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("busloss.linkbudget._DRAW_CHUNK_ROWS", rows)
             blocks = list(_shadowed_path_loss(
-                LAYOUT, REGISTRY, HeightClass.UPPER, active, False, seed, n_draws))
+                _seat_links(LAYOUT, REGISTRY, HeightClass.UPPER, active, False), seed, n_draws))
             footprint = interference_footprint(
                 LAYOUT, REGISTRY, CONFIG, active, HeightClass.UPPER, seed, n_draws)
             config = LinkBudgetConfig(tx_power_dbm=tx_power_dbm)
