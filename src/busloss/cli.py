@@ -185,7 +185,10 @@ def cmd_process(args) -> int:
     cal = _load_record(pdp.LinkCalibration, "calibration", args.calibration)
     sets = pdp.load_measurement_dir(args.measurement_dir)
     layout = _resolve_layout(args.layout) if args.layout else None
-    samples = pdp.measurements_to_samples(sets, cal, layout)
+    try:
+        samples = pdp.measurements_to_samples(sets, cal, layout)
+    except geometry.SeatNotFoundError as exc:
+        raise geometry.SeatNotFoundError(f"{args.layout}: {exc.args[0]}") from None
     _write_output(fitmod.samples_to_csv(samples), args.output)
     return EXIT_OK
 

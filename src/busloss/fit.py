@@ -38,9 +38,11 @@ class DegenerateDataError(ValueError):
 SAMPLE_TAGS = {"seat": int, "region": Region, "height": HeightClass}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleSet:
-    """(distance, path loss) pairs with optional seat/region/height tags."""
+    """(distance, path loss) pairs with optional seat/region/height tags: an immutable
+    record, validated when built. Its arrays and tag lists are stored as given, not
+    copied; dataclasses.replace builds an edited copy and validates it again."""
 
     distance_m: np.ndarray
     path_loss_db: np.ndarray
@@ -49,8 +51,8 @@ class SampleSet:
     height: list[HeightClass | None] | None = None
 
     def __post_init__(self) -> None:
-        self.distance_m = np.asarray(self.distance_m, dtype=float)
-        self.path_loss_db = np.asarray(self.path_loss_db, dtype=float)
+        object.__setattr__(self, "distance_m", np.asarray(self.distance_m, dtype=float))
+        object.__setattr__(self, "path_loss_db", np.asarray(self.path_loss_db, dtype=float))
         if self.distance_m.shape != self.path_loss_db.shape:
             raise ValueError("distance and path loss arrays must match in length")
         if np.any(~np.isfinite(self.distance_m)) or np.any(self.distance_m <= 0):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -72,20 +72,22 @@ class SeatSpec:
     lower_excluded: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class BusLayout:
-    """The vehicle interior, validated when built. `seats` is the only record of the seats:
-    `seat` and every link function read it when called, so a caller's edit is seen whole."""
+    """The vehicle interior: an immutable record, validated when built. `seats` is
+    stored as a tuple, whatever sequence is passed; dataclasses.replace builds an
+    edited copy and validates it again."""
 
     length_m: float
     width_m: float
     rx: Point3
-    seats: list[SeatSpec] = field(default_factory=list)
+    seats: tuple[SeatSpec, ...] = ()
     upper_height_m: float = DEFAULT_UPPER_HEIGHT_M
     lower_height_m: float = DEFAULT_LOWER_HEIGHT_M
     height_mode: str = "floor"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "seats", tuple(self.seats))
         problems = []
         if not 0 < self.length_m <= MAX_EXTENT_M:
             problems.append(f"length_m must be > 0 and <= {MAX_EXTENT_M}")
@@ -115,7 +117,7 @@ class BusLayout:
             raise LayoutError("; ".join(problems))
 
     def seat(self, seat_id: int) -> SeatSpec:
-        """The first seat in `seats` with this id, found by scanning the list."""
+        """The seat with this id, found by scanning `seats`."""
         for seat in self.seats:
             if seat.id == seat_id:
                 return seat
@@ -175,21 +177,14 @@ def seat_links(layout: BusLayout, height: HeightClass,
     return [(seat.id, seat.group, _distance(layout, seat, height)) for seat in seats]
 
 
+@functools.cache
 def default_layout() -> BusLayout:
     """The shipped 30-seat city-bus layout, read from data/default_layout.json.
 
     That file is the only copy of the seat coordinates, groups and
-    exclusions. It is parsed and validated once per process; each call
-    returns a fresh BusLayout with its own seat list, built and validated
-    again by BusLayout, so callers may mutate it, and every lookup sees the
-    change. Only the frozen SeatSpec and Point3 values are shared between calls.
+    exclusions. It is parsed and validated once per process, and every call
+    returns that one shared, immutable BusLayout.
     """
-    layout = _shipped_layout()
-    return replace(layout, seats=list(layout.seats))
-
-
-@functools.cache
-def _shipped_layout() -> BusLayout:
     path = resources.files(__package__) / "data" / "default_layout.json"
     return layout_from_dict(json.loads(path.read_text(encoding="utf-8")))
 

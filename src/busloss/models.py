@@ -126,10 +126,7 @@ def sample_path_loss(
     The caller owns the generator, so identical generator state yields
     identical draws.
     """
-    mean = mean_path_loss(model, d)
-    if size is None:
-        return mean + model.sigma_db * float(rng.standard_normal())
-    return mean + model.sigma_db * rng.standard_normal(size)
+    return mean_path_loss(model, d) + model.sigma_db * rng.standard_normal(size)
 
 
 def coverage_probability(model: PathLossModel, d: float, l_max: float) -> float:

@@ -42,17 +42,18 @@ class PdpFormatError(ValueError):
     """Malformed PDP file or measurement directory."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PdpRecord:
-    """One sweep: delay bins (ns) with powers (dB). Its seat and height are
-    those of the MeasurementSet that holds it."""
+    """One sweep: delay bins (ns) with powers (dB), an immutable record validated
+    when built; its arrays are stored as given, not copied. Its seat and height
+    are those of the MeasurementSet that holds it."""
 
     delays_ns: np.ndarray
     powers_db: np.ndarray
 
     def __post_init__(self) -> None:
-        self.delays_ns = np.asarray(self.delays_ns, dtype=float)
-        self.powers_db = np.asarray(self.powers_db, dtype=float)
+        object.__setattr__(self, "delays_ns", np.asarray(self.delays_ns, dtype=float))
+        object.__setattr__(self, "powers_db", np.asarray(self.powers_db, dtype=float))
         if self.delays_ns.shape != self.powers_db.shape:
             raise ValueError("delay and power arrays must match in length")
         if np.any(~np.isfinite(self.delays_ns)):

@@ -394,7 +394,7 @@ class TestProcessPipeline:
         layout.write_text(json.dumps(layout_to_dict(default_layout())))
         code, out, err = run(capsys, "process", str(root), str(cal), "--layout", str(layout))
         assert (code, out) == (4, "")
-        assert err == "error: 99_upper: no seat with id 99\n"
+        assert err == f"error: {layout}: 99_upper: no seat with id 99\n"
 
     @pytest.mark.parametrize("command", ["synth", "process"])
     def test_calibration_sum_overflow_exit_2(self, capsys, tmp_path, command):

@@ -1,5 +1,7 @@
 """Tests for least-squares model fitting and synthetic sample generation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -193,9 +195,8 @@ class TestPartitionToDict:
     def test_cells_then_skipped(self):
         model = builtin_model(Region.B, HeightClass.UPPER)
         d = [1.0, 2.0, 3.0, 4.0, 1.5, 2.5]
-        samples = noiseless_samples(model, d)
-        samples.region = [Region.B] * 4 + [Region.C] * 2
-        samples.height = [HeightClass.UPPER] * 6
+        samples = replace(noiseless_samples(model, d), region=[Region.B] * 4 + [Region.C] * 2,
+                          height=[HeightClass.UPPER] * 6)
         partition = fit_by_partition(samples)
         out = partition_to_dict(partition)
         assert list(out) == ["B/upper", "All/upper", "skipped"]
@@ -204,8 +205,8 @@ class TestPartitionToDict:
 
     def test_no_skipped_key_when_every_cell_fits(self):
         model = builtin_model(Region.A, HeightClass.LOWER)
-        samples = noiseless_samples(model, [1.0, 2.0, 3.0])
-        samples.region, samples.height = [Region.A] * 3, [HeightClass.LOWER] * 3
+        samples = replace(noiseless_samples(model, [1.0, 2.0, 3.0]), region=[Region.A] * 3,
+                          height=[HeightClass.LOWER] * 3)
         assert list(partition_to_dict(fit_by_partition(samples))) == ["A/lower", "All/lower"]
 
     def test_no_fitted_cell_raises(self):

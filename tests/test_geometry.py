@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -55,19 +56,15 @@ class TestDefaultLayout:
         assert sizes == {HeightClass.UPPER: [8, 8, 8, 6], HeightClass.LOWER: [4, 8, 8, 2]}
 
     def test_each_call_returns_a_fresh_layout(self):
+        """The shipped file is parsed once: every call returns the same immutable
+        layout, whose seats are a tuple, equal to a fresh parse of that file."""
         first = default_layout()
-        first.height_mode = "seat_relative"
-        first.seats.append(SeatSpec(31, 1.0, 1.0, 0.5, Region.A))
-        first.rx = Point3(0, 0, 0)
-        second = default_layout()
-        assert second is not first and second.seats is not first.seats
-        assert second.height_mode == "floor"
-        assert len(second.seats) == 30
+        assert default_layout() is first
+        assert isinstance(first.seats, tuple) and len(first.seats) == 30
+        assert first.height_mode == "floor"
         shipped = resources.files("busloss") / "data" / "default_layout.json"
-        assert layout_to_dict(second) == layout_to_dict(
+        assert layout_to_dict(first) == layout_to_dict(
             layout_from_dict(json.loads(shipped.read_text(encoding="utf-8"))))
-        second.seats.clear()
-        assert len(default_layout().seats) == 30
 
     def test_eligible_counts(self):
         layout = default_layout()
@@ -125,8 +122,7 @@ class TestTxPosition:
         assert zs == {1.2}
 
     def test_seat_relative_mode(self):
-        layout = default_layout()
-        layout.height_mode = "seat_relative"
+        layout = replace(default_layout(), height_mode="seat_relative")
         upper = tx_position(layout, 14, HeightClass.UPPER)
         lower = tx_position(layout, 14, HeightClass.LOWER)
         seat = layout.seat(14)
@@ -178,8 +174,7 @@ class TestSeatLinks:
             d = math.sqrt((seat["x"] - rx["x"]) ** 2 + (seat["y"] - rx["y"]) ** 2
                           + (z - rx["z"]) ** 2)
             expected.append((seat["id"], Region(seat["group"]), d))
-        layout = default_layout()
-        layout.height_mode = mode
+        layout = replace(default_layout(), height_mode=mode)
         assert seat_links(layout, height) == expected
         ids = [s for s, _, _ in expected]
         assert seat_links(layout, height, ids[::-1]) == expected[::-1]
@@ -197,12 +192,12 @@ class TestSeatLinks:
 
 
 class TestMutatedLayout:
-    """Every lookup reads `layout.seats` as it is when called, so a caller's edit to
-    the list of a default_layout() is seen at once, by every function."""
+    """A copy of default_layout() with edited seats, built by replace, is seen whole
+    by every lookup."""
 
     def test_appended_seat_found(self):
-        layout = default_layout()
-        layout.seats.append(SeatSpec(31, 1.0, 1.0, 0.5, Region.A))
+        base = default_layout()
+        layout = replace(base, seats=base.seats + (SeatSpec(31, 1.0, 1.0, 0.5, Region.A),))
         assert layout.seat(31).x == 1.0
         for height in HeightClass:
             assert seat_links(layout, height)[-1] == (
@@ -210,8 +205,8 @@ class TestMutatedLayout:
         assert seat_links(layout, HeightClass.UPPER, [31])[0][0] == 31
 
     def test_replaced_seat_seen(self):
-        layout = default_layout()
-        layout.seats[0] = SeatSpec(1, 3.0, 0.5, 0.5, Region.B)
+        base = default_layout()
+        layout = replace(base, seats=(SeatSpec(1, 3.0, 0.5, 0.5, Region.B),) + base.seats[1:])
         rx = layout.rx
         d = math.sqrt((3.0 - rx.x) ** 2 + (0.5 - rx.y) ** 2 + (layout.upper_height_m - rx.z) ** 2)
         assert layout.seat(1).group == Region.B
@@ -219,8 +214,8 @@ class TestMutatedLayout:
         assert seat_links(layout, HeightClass.UPPER, [1]) == [(1, Region.B, d)]
 
     def test_removed_seat_gone(self):
-        layout = default_layout()
-        layout.seats.remove(layout.seat(14))
+        base = default_layout()
+        layout = replace(base, seats=[seat for seat in base.seats if seat.id != 14])
         with pytest.raises(SeatNotFoundError, match="no seat with id 14"):
             seat_links(layout, HeightClass.UPPER, [14])
         assert 14 not in [s for s, _, _ in seat_links(layout, HeightClass.UPPER)]

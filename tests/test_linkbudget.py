@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -286,12 +287,13 @@ class TestEmpiricalCoverage:
 
 
 class TestMutatedLayout:
-    """A seat appended to a default_layout() takes part in every link-budget function."""
+    """A seat appended to a copy of default_layout(), built by replace, takes part in
+    every link-budget function."""
 
     @pytest.mark.parametrize("height", list(HeightClass))
     def test_appended_seat_in_every_result(self, height):
-        layout = default_layout()
-        layout.seats.append(SeatSpec(31, 1.0, 1.0, 0.5, Region.A))
+        base = default_layout()
+        layout = replace(base, seats=base.seats + (SeatSpec(31, 1.0, 1.0, 0.5, Region.A),))
         registry = builtin_registry()
         d = link_distance(layout, 31, height)
         report = seat_sweep(layout, registry, CONFIG, height)[-1]

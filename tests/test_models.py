@@ -85,6 +85,14 @@ class TestSamplePathLoss:
         b = sample_path_loss(ALL_LOWER, 5.0, np.random.default_rng(42))
         assert a == b
 
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_scalar_draw_is_float_of_one_normal(self, seed):
+        d = 5.0
+        value = sample_path_loss(ALL_LOWER, d, np.random.default_rng(seed), size=None)
+        assert type(value) is float
+        assert value == mean_path_loss(ALL_LOWER, d) + ALL_LOWER.sigma_db * float(
+            np.random.default_rng(seed).standard_normal())
+
     def test_moments_match_model(self):
         rng = np.random.default_rng(7)
         draws = sample_path_loss(ALL_LOWER, 5.0, rng, size=10**6)
