@@ -41,14 +41,14 @@ SAMPLE_TAGS = {"seat": int, "region": Region, "height": HeightClass}
 @dataclass(frozen=True)
 class SampleSet:
     """(distance, path loss) pairs with optional seat/region/height tags: an immutable
-    record, validated when built. Its arrays and tag lists are stored as given, not
-    copied; dataclasses.replace builds an edited copy and validates it again."""
+    record, validated when built. Its arrays are stored as given, not copied; each tag
+    column as a read-only object array. dataclasses.replace builds an edited, revalidated copy."""
 
     distance_m: np.ndarray
     path_loss_db: np.ndarray
-    seat: list[int | None] | None = None
-    region: list[Region | None] | None = None
-    height: list[HeightClass | None] | None = None
+    seat: np.ndarray | None = None
+    region: np.ndarray | None = None
+    height: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "distance_m", np.asarray(self.distance_m, dtype=float))
@@ -63,6 +63,9 @@ class SampleSet:
             tags = getattr(self, name)
             if tags is not None and len(tags) != len(self.distance_m):
                 raise ValueError(f"{name} tags must match sample count")
+            if tags is not None:
+                object.__setattr__(self, name, np.fromiter(tags, object, len(tags)))
+                getattr(self, name).flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.distance_m)
@@ -79,7 +82,7 @@ class FitResult:
 
 
 def _uniform_tag(tags):
-    values = set(tags or ())
+    values = set() if tags is None else set(tags)
     return values.pop() if len(values) == 1 else None
 
 
@@ -136,12 +139,10 @@ def fit_by_partition(samples: SampleSet) -> PartitionFit:
         raise ValueError("samples must carry region and height tags")
 
     result = PartitionFit()
-    regions = np.array(samples.region, dtype=object)
-    heights = np.array(samples.height, dtype=object)
     for h in HeightClass:
-        in_height = heights == h
+        in_height = samples.height == h
         for r in Region:
-            mask = in_height if r == Region.ALL else in_height & (regions == r)
+            mask = in_height if r == Region.ALL else in_height & (samples.region == r)
             n = int(np.count_nonzero(mask))
             if n == 0:
                 continue

@@ -358,7 +358,7 @@ def _leading_floats(cells: Sequence[str]) -> np.ndarray:
 def read_csv(text: str, source, kind: str, columns: Sequence[str], checks,
              tags: Mapping[str, Callable] = {}, error=ValueError):
     """The inverse of csv_text: float arrays of the columns, and for each tag
-    column in the header, its list of tags.
+    column in the header, an object array of its tags.
 
     Lines split at line feeds (a carriage return is whitespace), cells at
     commas, nothing quoted; rows all whitespace and commas are skipped. The
@@ -382,7 +382,7 @@ def read_csv(text: str, source, kind: str, columns: Sequence[str], checks,
             raise error(f"{source}:1: repeated column {name!r}")
     width, names = len(header), header[len(columns):]
     arrays, done = [np.empty(len(lines) - 1) for _ in columns], 0
-    found = {name: [None] * (len(lines) - 1) for name in names}
+    found = {name: np.empty(len(lines) - 1, object) for name in names}
     tables = {name: {} for name in names}
     stop = None  # the fault of the row after the rows read
     for start in range(1, len(lines), CSV_BLOCK_ROWS):
@@ -408,15 +408,14 @@ def read_csv(text: str, source, kind: str, columns: Sequence[str], checks,
                     table[cell] = tags[name](tag) if tag else None
                 except ValueError:
                     table[cell] = _BAD_TAG
-            found[name][done:done + rows] = map(table.__getitem__, tag_cells)
+            found[name][done:done + rows] = np.fromiter(map(table.__getitem__, tag_cells), object)
         done += rows
         if stop:
             break
     arrays = [array[:done] for array in arrays]
-    for tag_list in found.values():
-        del tag_list[done:]
+    found = {name: column[:done] for name, column in found.items()}
     faults = [(int(np.argmax(mask)), message) for mask, message in checks(*arrays) if mask.any()]
-    faults += [(found[name].index(_BAD_TAG), "bad tag value")
+    faults += [(found[name].tolist().index(_BAD_TAG), "bad tag value")
                for name in names if _BAD_TAG in tables[name].values()]
     if stop:
         faults.append((len(arrays[0]), stop))

@@ -134,13 +134,13 @@ def encoded(result):
         return {"error": result[1]}
     out = {}
     for name, value in result.items():
-        if isinstance(value, np.ndarray):
+        if value is None:
+            out[name] = None
+        elif value.dtype == object:  # a tag column
+            out[name] = [getattr(t, "value", t) for t in value]
+        else:
             assert value.dtype == np.float64
             out[name] = [float(x).hex() for x in value.tolist()]
-        elif value is None:
-            out[name] = None
-        else:
-            out[name] = [getattr(t, "value", t) for t in value]
     return out
 
 

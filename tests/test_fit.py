@@ -138,8 +138,8 @@ class TestFitByPartition:
         samples = SampleSet(
             np.concatenate([p.distance_m for p in parts]),
             np.concatenate([p.path_loss_db for p in parts]),
-            region=sum((p.region for p in parts), []),
-            height=sum((p.height for p in parts), []),
+            region=sum((list(p.region) for p in parts), []),
+            height=sum((list(p.height) for p in parts), []),
         )
         result = fit_by_partition(samples)
         for region in (Region.A, Region.B, Region.C, Region.D):
@@ -260,9 +260,9 @@ class TestSampleCsv:
         back = samples_from_csv(samples_to_csv(samples))
         assert np.array_equal(back.distance_m, samples.distance_m)
         assert np.array_equal(back.path_loss_db, samples.path_loss_db)
-        assert back.seat == [1, 2]
-        assert back.region == [Region.A, Region.B]
-        assert back.height == [HeightClass.LOWER, HeightClass.UPPER]
+        assert list(back.seat) == [1, 2]
+        assert list(back.region) == [Region.A, Region.B]
+        assert list(back.height) == [HeightClass.LOWER, HeightClass.UPPER]
 
     @pytest.mark.parametrize("columns, row, tags", [
         ("height,seat", "upper,7", {"height": [HeightClass.UPPER], "seat": [7]}),
@@ -306,7 +306,7 @@ class TestSampleCsv:
         text = "distance_m,path_loss_db,seat\n1.0,85.0,3\n\n , ,\n2.0,90.0,\n"
         samples = samples_from_csv(text)
         assert samples.path_loss_db.tolist() == [85.0, 90.0]
-        assert samples.seat == [3, None]
+        assert list(samples.seat) == [3, None]
 
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(ValueError, match=":2:"):

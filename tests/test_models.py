@@ -367,7 +367,8 @@ class TestInputHelpers:
         text = csv_text(("a", "b", "c"), [("1", "", "x"), (" ", " ", ""), ("2", "3", "y")])
         arrays, tags = read_csv(text, "t.csv", "test", ("a",), no_checks, {"c": str, "b": int})
         assert [a.tolist() for a in arrays] == [[1.0, 2.0]]
-        assert list(tags.items()) == [("b", [None, 3]), ("c", ["x", "y"])]
+        assert [(name, list(column)) for name, column in tags.items()] == [
+            ("b", [None, 3]), ("c", ["x", "y"])]
 
     @pytest.mark.parametrize("text, expected", [
         ("", "t.csv: empty test file"),

@@ -338,8 +338,8 @@ class TestSynthAndSamples:
         sets = synth_measurements(model, self.LINKS, HeightClass.UPPER, cal, n_sweeps=3, seed=0)
         assert [(m.seat, len(m.sweeps)) for m in sets] == [(14, 3), (2, 3)]
         samples = measurements_to_samples(sets, cal)
-        assert samples.seat == [14, 2]
-        assert samples.height == [HeightClass.UPPER] * 2
+        assert list(samples.seat) == [14, 2]
+        assert list(samples.height) == [HeightClass.UPPER] * 2
         assert samples.region is None
         for (_, d), got_d, got_pl in zip(self.LINKS, samples.distance_m, samples.path_loss_db):
             assert got_d == pytest.approx(d, rel=1e-12)
