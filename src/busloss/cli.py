@@ -188,7 +188,7 @@ def cmd_process(args) -> int:
     try:
         samples = pdp.measurements_to_samples(sets, cal, layout)
     except geometry.SeatNotFoundError as exc:
-        raise geometry.SeatNotFoundError(f"{args.layout}: {exc.args[0]}") from None
+        raise geometry.SeatNotFoundError(f"{args.layout}: {exc}") from None
     _write_output(fitmod.samples_to_csv(samples), args.output)
     return EXIT_OK
 
@@ -197,23 +197,17 @@ def cmd_synth(args) -> int:
     model = _resolve_model(args.model)
     layout = _resolve_layout(args.layout)
     height = _resolve_height(args.height)
-    links = geometry.seat_links(layout, height)
 
     if args.pdp_dir is not None:
         if args.calibration is None:
             raise ValueError("--pdp-dir requires --calibration")
         cal = _load_record(pdp.LinkCalibration, "calibration", args.calibration)
-        sets = pdp.synth_measurements(
-            model, [(s, d) for s, _, d in links], height, cal, args.sweeps, args.seed
-        )
+        links = [(s, d) for s, _, d in geometry.seat_links(layout, height)]
+        sets = pdp.synth_measurements(model, links, height, cal, args.sweeps, args.seed)
         pdp.write_measurement_dir(args.pdp_dir, sets)
         return EXIT_OK
 
-    drawn = fitmod.synth_samples(model, [d for _, _, d in links], args.seed)
-    samples = fitmod.SampleSet(
-        drawn.distance_m, drawn.path_loss_db, seat=[s for s, _, _ in links],
-        region=[group for _, group, _ in links], height=[height] * len(links),
-    )
+    samples = fitmod.synth_seat_samples(model, layout, height, args.seed)
     _write_output(fitmod.samples_to_csv(samples), args.output)
     return EXIT_OK
 
@@ -332,7 +326,7 @@ def main(argv=None) -> int:
     except (fitmod.InsufficientDataError, fitmod.DegenerateDataError) as exc:
         code, message = EXIT_INSUFFICIENT, exc
     except (geometry.ExcludedPositionError, geometry.SeatNotFoundError) as exc:
-        code, message = EXIT_INELIGIBLE, exc.args[0]  # str() of a KeyError adds quotes
+        code, message = EXIT_INELIGIBLE, exc
     except ValueError as exc:
         code, message = EXIT_INPUT, exc
     print(f"error: {message}", file=sys.stderr)

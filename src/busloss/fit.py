@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .geometry import BusLayout, seat_links
 from .models import (
     HeightClass,
     PathLossModel,
@@ -41,8 +42,9 @@ SAMPLE_TAGS = {"seat": int, "region": Region, "height": HeightClass}
 @dataclass(frozen=True)
 class SampleSet:
     """(distance, path loss) pairs with optional seat/region/height tags: an immutable
-    record, validated when built. Its arrays are stored as given, not copied; each tag
-    column as a read-only object array. dataclasses.replace builds an edited, revalidated copy."""
+    record, validated when built. Every column is read-only: the float arrays are views
+    of those given, not copies, and each tag column is a 1-D object array (or None).
+    dataclasses.replace builds an edited copy and validates it again."""
 
     distance_m: np.ndarray
     path_loss_db: np.ndarray
@@ -51,8 +53,9 @@ class SampleSet:
     height: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "distance_m", np.asarray(self.distance_m, dtype=float))
-        object.__setattr__(self, "path_loss_db", np.asarray(self.path_loss_db, dtype=float))
+        for name in ("distance_m", "path_loss_db"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).view())
+            getattr(self, name).flags.writeable = False
         if self.distance_m.shape != self.path_loss_db.shape:
             raise ValueError("distance and path loss arrays must match in length")
         if np.any(~np.isfinite(self.distance_m)) or np.any(self.distance_m <= 0):
@@ -154,16 +157,21 @@ def fit_by_partition(samples: SampleSet) -> PartitionFit:
     return result
 
 
-def synth_samples(
-    model: PathLossModel, distances: Sequence[float], seed: int
-) -> SampleSet:
-    """Shadow-faded samples at the given distances, reproducible per seed."""
+def _draw(model: PathLossModel, distances: Sequence[float], seed: int):
+    """(distances, shadow-faded path losses) at the distances, reproducible per seed."""
     rng = np.random.default_rng(seed)
     d = np.asarray(distances, dtype=float)
     if np.any(~np.isfinite(d)) or np.any(d <= 0):
         raise ValueError("all distances must be finite and > 0")
     means = model.alpha_db + 10.0 * model.beta * np.log10(d)
-    losses = means + model.sigma_db * rng.standard_normal(len(d))
+    return d, means + model.sigma_db * rng.standard_normal(len(d))
+
+
+def synth_samples(
+    model: PathLossModel, distances: Sequence[float], seed: int
+) -> SampleSet:
+    """Shadow-faded samples at the given distances, reproducible per seed."""
+    d, losses = _draw(model, distances, seed)
     n = len(d)
     return SampleSet(
         d,
@@ -171,6 +179,16 @@ def synth_samples(
         region=[model.region] * n if model.region is not None else None,
         height=[model.height] * n if model.height is not None else None,
     )
+
+
+def synth_seat_samples(model: PathLossModel, layout: BusLayout, height: HeightClass,
+                       seed: int) -> SampleSet:
+    """synth_samples's draw at the seat_links(layout, height) distances, each sample
+    tagged with its link's seat and group and with height."""
+    links = seat_links(layout, height)
+    d, losses = _draw(model, [d for _, _, d in links], seed)
+    return SampleSet(d, losses, seat=[s for s, _, _ in links],
+                     region=[group for _, group, _ in links], height=[height] * len(links))
 
 
 def samples_to_csv(samples: SampleSet) -> str:

@@ -44,7 +44,8 @@ class LayoutError(ValueError):
 
 
 class SeatNotFoundError(KeyError):
-    """No seat with the requested id."""
+    """No seat with the requested id; str() gives the message without KeyError's quotes."""
+    __str__ = Exception.__str__
 
 
 class ExcludedPositionError(ValueError):

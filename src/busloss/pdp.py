@@ -45,15 +45,16 @@ class PdpFormatError(ValueError):
 @dataclass(frozen=True)
 class PdpRecord:
     """One sweep: delay bins (ns) with powers (dB), an immutable record validated
-    when built; its arrays are stored as given, not copied. Its seat and height
-    are those of the MeasurementSet that holds it."""
+    when built; its arrays are read-only views of those given, not copies. Its seat
+    and height are those of the MeasurementSet that holds it."""
 
     delays_ns: np.ndarray
     powers_db: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delays_ns", np.asarray(self.delays_ns, dtype=float))
-        object.__setattr__(self, "powers_db", np.asarray(self.powers_db, dtype=float))
+        for name in ("delays_ns", "powers_db"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).view())
+            getattr(self, name).flags.writeable = False
         if self.delays_ns.shape != self.powers_db.shape:
             raise ValueError("delay and power arrays must match in length")
         if np.any(~np.isfinite(self.delays_ns)):
@@ -160,7 +161,7 @@ def _group(layout: BusLayout, mset: MeasurementSet):
     try:
         return layout.seat(mset.seat).group
     except SeatNotFoundError as exc:
-        raise SeatNotFoundError(f"{mset.seat}_{mset.height.value}: {exc.args[0]}") from None
+        raise SeatNotFoundError(f"{mset.seat}_{mset.height.value}: {exc}") from None
 
 
 def measurements_to_samples(

@@ -16,7 +16,9 @@ from busloss.fit import (
     samples_from_csv,
     samples_to_csv,
     synth_samples,
+    synth_seat_samples,
 )
+from busloss.geometry import default_layout, seat_links
 from busloss.models import (
     HeightClass,
     PathLossModel,
@@ -246,6 +248,17 @@ class TestSynthSamples:
             fitted = fit_log_distance(synth_samples(exact, [1.3, 2.9, 2.9, 7.7], seed=1)).model
             assert fitted.alpha_db == pytest.approx(model.alpha_db, rel=1e-9)
             assert fitted.beta == pytest.approx(model.beta, rel=1e-9)
+
+    @pytest.mark.parametrize("height", list(HeightClass))
+    def test_seat_samples_draw_at_seat_links(self, height):
+        model = builtin_model(Region.ALL, height)
+        links = seat_links(default_layout(), height)
+        got = synth_seat_samples(model, default_layout(), height, seed=7)
+        want = synth_samples(model, [d for _, _, d in links], seed=7)
+        assert got.distance_m.tobytes() == want.distance_m.tobytes()
+        assert got.path_loss_db.tobytes() == want.path_loss_db.tobytes()
+        assert list(zip(got.seat, got.region, got.distance_m)) == links
+        assert list(got.height) == [height] * len(links)
 
 
 class TestSampleCsv:

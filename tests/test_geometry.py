@@ -116,6 +116,10 @@ class TestTxPosition:
         with pytest.raises(SeatNotFoundError):
             tx_position(default_layout(), 99, HeightClass.UPPER)
 
+    def test_seat_not_found_message_unquoted(self):
+        # A KeyError's str() is the repr of its message.
+        assert str(SeatNotFoundError("no seat with id 9")) == "no seat with id 9"
+
     def test_height_independent_of_seat(self):
         layout = default_layout()
         zs = {tx_position(layout, s.id, HeightClass.UPPER).z for s in layout.seats}

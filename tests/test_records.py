@@ -1,12 +1,13 @@
 """Validated records are immutable: an edit is made only through dataclasses.replace,
-which builds a new record and so runs the constructor's checks again."""
+which builds a new record and so runs the constructor's checks again. The arrays
+inside a record are read-only too."""
 
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
-from busloss.fit import synth_samples
+from busloss.fit import SampleSet, synth_samples
 from busloss.geometry import LayoutError, Point3, SeatSpec, default_layout
 from busloss.models import HeightClass, Region, builtin_model
 from busloss.pdp import PdpRecord
@@ -44,3 +45,24 @@ def test_edit_only_through_validating_replace(record, direct_edit, direct_error,
         replace(record, **changes)
     for message in messages:
         assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("write, error, message", [
+    (lambda: SAMPLES.region.append(Region.B), AttributeError, "append"),
+    (lambda: SAMPLES.region.__setitem__(0, Region.B), ValueError, "read-only"),
+    (lambda: SAMPLES.distance_m.__setitem__(0, -1.0), ValueError, "read-only"),
+    (lambda: SWEEP.powers_db.__setitem__(0, 1.0), ValueError, "read-only"),
+], ids=["samples-region-append", "samples-region-item", "samples-distance-item",
+        "sweep-power-item"])
+def test_record_arrays_refuse_writes(write, error, message):
+    with pytest.raises(error, match=message):
+        write()
+
+
+def test_float_columns_are_views_of_the_callers_arrays():
+    distance, loss = np.array([1.0, 2.0, 4.0]), np.array([80.0, 86.0, 92.0])
+    samples = SampleSet(distance, loss)
+    assert np.shares_memory(samples.distance_m, distance)
+    assert np.shares_memory(samples.path_loss_db, loss)
+    distance[0] = 1.5  # the caller's own array stays writable
+    assert samples.distance_m[0] == 1.5
