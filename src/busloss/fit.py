@@ -43,7 +43,8 @@ SAMPLE_TAGS = {"seat": int, "region": Region, "height": HeightClass}
 class SampleSet:
     """(distance, path loss) pairs with optional seat/region/height tags: an immutable
     record, validated when built. Every column is read-only: the float arrays are views
-    of those given, not copies, and each tag column is a 1-D object array (or None).
+    of those given, not copies, and each tag column is a 1-D object array copied from
+    the tags given (or None).
     dataclasses.replace builds an edited copy and validates it again."""
 
     distance_m: np.ndarray
@@ -64,11 +65,16 @@ class SampleSet:
             raise ValueError("all path losses must be finite")
         for name in SAMPLE_TAGS:
             tags = getattr(self, name)
-            if tags is not None and len(tags) != len(self.distance_m):
+            if tags is None:
+                continue
+            if len(tags) != len(self.distance_m):
                 raise ValueError(f"{name} tags must match sample count")
-            if tags is not None:
-                object.__setattr__(self, name, np.fromiter(tags, object, len(tags)))
-                getattr(self, name).flags.writeable = False
+            if isinstance(tags, np.ndarray) and tags.dtype == object and tags.ndim == 1:
+                column = tags.copy()  # what fromiter builds, without a Python step per tag
+            else:
+                column = np.fromiter(tags, object, len(tags))
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.distance_m)

@@ -15,6 +15,7 @@ their row rules.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -355,6 +356,26 @@ def _leading_floats(cells: Sequence[str]) -> np.ndarray:
                 return np.array(values, dtype=float)
 
 
+# The bytes a body may hold for _loadtxt_columns: no whitespace, quote, "#" or
+# carriage return, so loadtxt frames its lines and cells as read_csv does, and
+# no "_", so every cell it parses float() parses to the same double.
+_NUMERIC_BYTES = b"0123456789.+-eE,\n"
+
+
+def _loadtxt_columns(body: str, width: int) -> list[np.ndarray] | None:
+    """The width columns of a body of numeric rows from one np.loadtxt call, or None
+    when read_csv's block path must read it: a body with no row or with a byte
+    outside _NUMERIC_BYTES, or one loadtxt rejects or finds of another width."""
+    if (not body.strip("\n") or not body.isascii()
+            or body.encode("ascii").translate(None, _NUMERIC_BYTES)):
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return list(table.T) if table.shape[1] == width else None
+
+
 def read_csv(text: str, source, kind: str, columns: Sequence[str], checks,
              tags: Mapping[str, Callable] = {}, error=ValueError):
     """The inverse of csv_text: float arrays of the columns, and for each tag
@@ -367,12 +388,14 @@ def read_csv(text: str, source, kind: str, columns: Sequence[str], checks,
     checks(*arrays) gives (mask over the rows, message) pairs. The first bad
     row raises error naming its line, with its first fault in the order: the
     wrong width, a cell float() rejects, each check, a tag its parser rejects.
-    Rows are framed and converted CSV_BLOCK_ROWS at a time by C-level string
-    operations, with no Python step per row or cell."""
+    A body with no tag column, only the bytes of _NUMERIC_BYTES and no fault goes
+    through one np.loadtxt call, which gives the same arrays. Every other body, and
+    every fault, takes the block path: rows are framed and converted CSV_BLOCK_ROWS
+    at a time by C-level string operations, with no Python step per row or cell."""
     if not text:
         raise error(f"{source}: empty {kind} file")
-    lines = text.split("\n")
-    header = [name.strip() for name in lines[0].split(",")]
+    head = text.partition("\n")[0]
+    header = [name.strip() for name in head.split(",")]
     if header[:len(columns)] != list(columns):
         raise error(f"{source}:1: header must start with {','.join(columns)}")
     for i, name in enumerate(header[len(columns):], len(columns)):
@@ -381,6 +404,11 @@ def read_csv(text: str, source, kind: str, columns: Sequence[str], checks,
         if name in header[:i]:
             raise error(f"{source}:1: repeated column {name!r}")
     width, names = len(header), header[len(columns):]
+    if not names:  # sliced only here: a body held through the block path doubles the text
+        arrays = _loadtxt_columns(text[len(head) + 1:], width)
+        if arrays is not None and not any(mask.any() for mask, _ in checks(*arrays)):
+            return arrays, {}
+    lines = text.split("\n")
     arrays, done = [np.empty(len(lines) - 1) for _ in columns], 0
     found = {name: np.empty(len(lines) - 1, object) for name in names}
     tables = {name: {} for name in names}

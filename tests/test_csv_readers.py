@@ -7,6 +7,8 @@ row by row: what each returns, and which `file:line` message each raises.
 - The property takes a recorded text, inserts blank rows and shrinks the
   reader's row block, and expects the recorded result, with each line number
   moved past the inserted rows.
+- A second property reads numeric texts with `read_csv`'s one-call loadtxt
+  path on and forced off, and expects bit-identical arrays or the same message.
 
 `python tests/test_csv_readers.py` rewrites the corpus with the busloss on the
 import path. Do that only for a change that means to alter what the readers
@@ -214,6 +216,69 @@ def test_padded_cases_match_record_at_any_block_size(padded, block_rows):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "CSV_BLOCK_ROWS", block_rows)
         assert encoded(read(reader, text, tmp)) == want
+
+
+def exact(result):
+    """A result in which equal means bit-identical arrays, or the error itself."""
+    if isinstance(result, tuple):
+        return result
+    return {name: None if value is None else (value.dtype.str, value.shape, value.tobytes())
+            for name, value in result.items()}
+
+
+# Cells for the differential test: numbers in the formats writers use, and
+# runs of 1-400 characters of the charset read_csv may hand to np.loadtxt.
+FORMATS = ["{!r}", "{:.17g}", "{:e}", "{:E}", "{:+.3f}", "{:.0f}", "{:.1e}"]
+CHARSET_CELLS = st.text("0123456789.+-eE", min_size=1, max_size=400)
+
+
+@st.composite
+def numeric_texts(draw):
+    """(reader, text): a header, then rows over the charset of read_csv's fast
+    path, mostly clean (delays and distances increasing and positive), with
+    cells, rows and widths edited, and blank and comma-only rows inserted."""
+    reader = draw(st.sampled_from(["sample", "pdp"]))
+    n = draw(st.integers(1, 12))
+    first = sorted(draw(st.lists(st.floats(1e-3, 1e6), min_size=n, max_size=n, unique=True)))
+    second = draw(st.lists(st.floats(-300, 300), min_size=n, max_size=n))
+    fmt = draw(st.sampled_from(FORMATS)).format
+    rows = [[fmt(x), fmt(y)] for x, y in zip(first, second)]
+    for at, cell in draw(st.lists(st.tuples(st.integers(0, 2 * n - 1), CHARSET_CELLS),
+                                  max_size=3)):
+        rows[at // 2][at % 2] = cell
+    for at in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        rows[at] = rows[at][:1] if draw(st.booleans()) else [*rows[at], "1"]
+    lines = [",".join(row) for row in rows]
+    for at, blank in sorted(draw(st.lists(st.tuples(st.integers(0, n),
+                                                    st.sampled_from(["", ",", ",,"])),
+                                          max_size=3)), reverse=True):
+        lines.insert(at, blank)
+    end = draw(st.sampled_from(["\n", ""]))
+    return reader, "\n".join([S if reader == "sample" else P, *lines]) + end
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(numeric_texts())
+def test_loadtxt_path_matches_block_path(case):
+    reader, text = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        fast = exact(read(reader, text, tmp))
+        mp.setattr(models, "_loadtxt_columns", lambda body, width: None)
+        assert fast == exact(read(reader, text, tmp))
+
+
+def test_clean_files_skip_the_block_path(tmp_path, monkeypatch):
+    def block_path(cells):
+        raise AssertionError("the block path ran")
+
+    monkeypatch.setattr(models, "_leading_floats", block_path)
+    sweep = read("pdp", P + "\n" + bins(0, 3000), tmp_path)
+    assert sweep["delays_ns"].tolist() == [float(k) for k in range(3000)]
+    samples = read("sample", S + "\n1.5,85\n2e1,9.05E1\n", tmp_path)
+    assert samples["path_loss_db"].tolist() == [85.0, 90.5]
+    assert read("pdp", P + "\n\n1,-80\n\n2,-81\n", tmp_path)["powers_db"].tolist() == [-80, -81]
+    with pytest.raises(AssertionError, match="the block path ran"):  # a comma-only row
+        read("pdp", P + "\n1,-80\n,\n2,-81\n", tmp_path)
 
 
 # The corpus generator: texts that are mostly well formed, with a few bad

@@ -66,3 +66,20 @@ def test_float_columns_are_views_of_the_callers_arrays():
     assert np.shares_memory(samples.path_loss_db, loss)
     distance[0] = 1.5  # the caller's own array stays writable
     assert samples.distance_m[0] == 1.5
+
+
+@pytest.mark.parametrize("given", [
+    pytest.param(lambda tags: np.array(tags, dtype=object), id="object array"),
+    pytest.param(lambda tags: np.array(tags, dtype=object).repeat(2)[::2], id="strided view"),
+    pytest.param(list, id="list"),
+])
+def test_tag_columns_are_read_only_copies(given):
+    regions = given([Region.A, Region.B, None])
+    samples = SampleSet(np.array([1.0, 2.0, 4.0]), np.array([80.0, 86.0, 92.0]), region=regions)
+    column = samples.region
+    assert column.dtype == object and column.shape == (3,) and not column.flags.writeable
+    assert list(column) == [Region.A, Region.B, None]
+    if isinstance(regions, np.ndarray):
+        assert not np.shares_memory(column, regions)
+        regions[0] = Region.C  # the caller's own array stays writable
+    assert column[0] is Region.A
