@@ -1,15 +1,20 @@
 """Record the benchmark's meta and result lines for two checkouts in one file.
 
     python3 scripts/record_bench.py --parent <checkout> --change <checkout> \
-        --seeds 101 102 103 --seconds 20 -o BENCH_<n>.json
+        --seeds 101 102 103 --seconds 20 --traced-seeds 3 -o BENCH_<n>.json
 
 Each seed is one pair of `perfbench/run.py --trace 0` runs per workload of
 BENCHMARK.json, parent and change back to back, the first of the two
 alternating from seed to seed, so that the drift of a shared host falls on
-both alike. The first seed also makes one `--trace 1` pair per workload.
-Each record keeps the last two stdout lines of a run: the meta line and the
-result line. Per workload and end-to-end metric, stderr gets each side's
-median and the number of pairs the change won.
+both alike. The first N seeds (`--traced-seeds N`, default 1) also make one
+`--trace 1` pair per workload, alternating the same way. Each record keeps the
+last two stdout lines of a run: the meta line and the result line. The file's
+`summary` holds, per workload and per-layer metric of the traced pairs, each
+side's median and the median of the per-pair ratios change/parent: traced
+layer times are raw seconds, and a ratio within one pair cancels the host
+drift that a single absolute number carries. Per workload and end-to-end
+metric, stderr gets each side's median and the number of pairs the change won,
+then the summary's time layers.
 """
 
 import argparse
@@ -29,22 +34,57 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
             "meta": meta["meta"], "result": result}
 
 
+def summarise(records: list[dict], layers: list[str]) -> dict:
+    """{workload: {layer: {"parent", "change", "change_over_parent", "pairs"}}} over
+    the traced records, paired by workload and seed: each side's median value,
+    and the median over pairs of change/parent. A layer that reads 0 in every
+    traced record of a workload is left out; a pair whose parent reads 0 gives
+    no ratio, and a layer with no ratio has change_over_parent None."""
+    pairs: dict[str, dict[int, dict[str, dict]]] = {}
+    for r in records:
+        if r["trace"] == 1:
+            pairs.setdefault(r["workload"], {}).setdefault(r["seed"], {})[r["checkout"]] = \
+                r["result"]["metrics"]
+    summary = {}
+    for workload, by_seed in pairs.items():
+        summary[workload] = {}
+        for name in layers:
+            values = [(p["parent"][name]["value"], p["change"][name]["value"])
+                      for p in by_seed.values()]
+            if not any(parent or change for parent, change in values):
+                continue
+            ratios = [change / parent for parent, change in values if parent]
+            summary[workload][name] = {
+                "parent": statistics.median(parent for parent, _ in values),
+                "change": statistics.median(change for _, change in values),
+                "change_over_parent": statistics.median(ratios) if ratios else None,
+                "pairs": len(values),
+            }
+    return summary
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, required=True)
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     p.add_argument("--seconds", type=float, required=True)
+    p.add_argument("--traced-seeds", type=int, default=1, metavar="N",
+                   help="traced pairs per workload, on the first N seeds (default 1)")
     p.add_argument("-o", "--output", type=Path, required=True)
     args = p.parse_args()
+    if not 1 <= args.traced_seeds <= len(args.seeds):
+        p.error(f"--traced-seeds must be in [1, {len(args.seeds)}] (the number of seeds)")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     sides = [("parent", args.parent), ("change", args.change)]
     records = [{"checkout": label, **run(path, w, seed, args.seconds, trace)}
-               for i, seed in enumerate(args.seeds) for trace in ((0, 1) if i == 0 else (0,))
+               for i, seed in enumerate(args.seeds)
+               for trace in ((0, 1) if i < args.traced_seeds else (0,))
                for w in workloads for label, path in (sides if i % 2 == 0 else sides[::-1])]
-    args.output.write_text(json.dumps({"records": records}, indent=1) + "\n")
+    summary = summarise(records, [m["name"] for m in spec["per_layer"]])
+    args.output.write_text(json.dumps({"records": records, "summary": summary}, indent=1) + "\n")
 
     for w in workloads:
         for metric in spec["end_to_end"]:
@@ -57,6 +97,12 @@ def main() -> None:
             print(f"{w} {name}: median parent {statistics.median(runs['parent']):.4g}, "
                   f"change {statistics.median(runs['change']):.4g} {metric['unit']}; "
                   f"change better in {wins} of {len(runs['change'])} pairs", file=sys.stderr)
+    for w, layers in summary.items():
+        for name, v in layers.items():
+            if name.endswith(".s") and v["change_over_parent"] is not None:
+                print(f"{w} {name}: traced median parent {v['parent']:.4g}, change "
+                      f"{v['change']:.4g} s; change/parent median {v['change_over_parent']:.3f} "
+                      f"over {v['pairs']} pairs", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -126,10 +126,24 @@ def _write_output(text: str, output: str | None) -> None:
         raise ValueError(f"cannot write {output}: {exc.strerror}") from None
 
 
+# Encodes a flat record's fields as json.dumps(..., indent=2) lays them out one
+# level down. Without indent, json runs its C encoder instead of the Python one.
+_RECORD_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
+def _json_table(records: list[dict]) -> str:
+    """json.dumps(records, indent=2) for a list of flat dicts, byte for byte."""
+    if not records:
+        return "[]"
+    return "[\n  " + ",\n  ".join(
+        "{\n    " + _RECORD_ENCODER.encode(r)[1:-1] + "\n  }" if r else "{}" for r in records
+    ) + "\n]"
+
+
 def _write_table(args, items, to_dict, to_csv) -> int:
     """Write items as a JSON list with --format json, else as CSV."""
     if args.format == "json":
-        text = json.dumps([to_dict(item) for item in items], indent=2) + "\n"
+        text = _json_table([to_dict(item) for item in items]) + "\n"
     else:
         text = to_csv(items)
     _write_output(text, args.output)

@@ -40,10 +40,35 @@ _DRAW_CHUNK_ROWS = 4096
 ModelMap = Mapping[tuple[Region, HeightClass], PathLossModel]
 
 
+# The range of each budget field. With these and MAX_LINK_SNR_DB, the noise
+# floor lies in [-1,100, 246] dBm and tx_power_dbm + g_tx_dbi + g_rx_dbi in
+# [-900, 446] dBm, so the noise power and each received power 10**(dBm/10) are
+# finite and normal for any path loss in [-2,600, 2,100] dB, and shannon_rate
+# stays below 1e12 Hz x 1,100 bit/s/Hz.
+_FIELD_RANGES = {
+    "tx_power_dbm": (-300.0, 300.0),
+    "g_tx_dbi": (-300.0, 300.0),
+    "g_rx_dbi": (-300.0, 300.0),
+    "bandwidth_hz": (0.0, 1e12),
+    "noise_figure_db": (0.0, 300.0),
+    # An infinite threshold is meaningful: every link, or none, clears it.
+    "snr_threshold_db": (-math.inf, math.inf),
+}
+
+# Most SNR a link with no path loss may have. The footprint's SINR denominator,
+# (noise + total) - own, is 0 and the SINR infinite once a lone link's SNR
+# reaches 2**53 (159.5 dB), where the noise vanishes from noise + total. At
+# 200 dB that takes a draw with a path loss below 40.5 dB; the shipped models
+# give at least 87.6 dB on the shipped layout, with sigma at most 3.13 dB.
+MAX_LINK_SNR_DB = 200.0
+
+
 @dataclass(frozen=True)
 class LinkBudgetConfig:
     """Budget inputs. Only the 2 dBi antenna gains come from the measured
-    system; the remaining defaults are 802.11ay-style placeholders."""
+    system; the remaining defaults are 802.11ay-style placeholders. Each field
+    must lie in its _FIELD_RANGES range (bandwidth_hz above 0), and the SNR of a
+    link with no path loss may be at most MAX_LINK_SNR_DB."""
 
     tx_power_dbm: float = 10.0
     g_tx_dbi: float = 2.0
@@ -55,13 +80,16 @@ class LinkBudgetConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            # An infinite threshold is meaningful: every link, or none, clears it.
-            if math.isnan(value) or (math.isinf(value) and f.name != "snr_threshold_db"):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+            low, high = _FIELD_RANGES[f.name]
+            if not low <= value <= high:  # NaN fails too
+                raise ValueError(f"{f.name} must be in [{low:g}, {high:g}], got {value}")
         if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth_hz must be > 0")
-        if self.noise_figure_db < 0:
-            raise ValueError("noise_figure_db must be >= 0")
+        snr = link_snr(self, 0.0)
+        if snr > MAX_LINK_SNR_DB:
+            raise ValueError(
+                f"tx_power_dbm + g_tx_dbi + g_rx_dbi is {snr:g} dB above the noise floor "
+                f"of bandwidth_hz and noise_figure_db; at most {MAX_LINK_SNR_DB:g} dB")
 
 
 @dataclass
@@ -163,26 +191,76 @@ def seat_sweep(
     return reports
 
 
-def _shadowed_path_loss(links, seed: int, n_draws: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Path loss for n_draws draws of every link of _seat_links: each link's mean
-    plus independent shadowing, as (start, block) pairs of at most
-    _DRAW_CHUNK_ROWS draws by len(links) links, where block holds draws start,
-    start + 1, ... in order.
+def _standard_normals(seed: int, n_draws: int, n_links: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Standard normal shadowing for n_draws draws of n_links links, as (start,
+    block) pairs of at most _DRAW_CHUNK_ROWS draws by n_links links, where block
+    holds draws start, start + 1, ... in order, all from one Generator(seed).
 
     n_draws is checked when this is called, before any block exists: it must be
-    >= 1 and n_draws * len(links) at most MAX_DRAW_LINKS.
+    >= 1 and n_draws * n_links at most MAX_DRAW_LINKS.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    if n_draws * len(links) > MAX_DRAW_LINKS:
-        raise ValueError(f"{n_draws} draws x {len(links)} links is over {MAX_DRAW_LINKS}")
-    means = np.array([pl for _, _, _, pl in links])
-    sigmas = np.array([model.sigma_db for _, model, _, _ in links])
+    if n_draws * n_links > MAX_DRAW_LINKS:
+        raise ValueError(f"{n_draws} draws x {n_links} links is over {MAX_DRAW_LINKS}")
     rng, rows = np.random.default_rng(seed), _DRAW_CHUNK_ROWS
     return (
-        (start, means + sigmas * rng.standard_normal((min(rows, n_draws - start), len(links))))
+        (start, rng.standard_normal((min(rows, n_draws - start), n_links)))
         for start in range(0, n_draws, rows)
     )
+
+
+def _means_and_sigmas(links) -> tuple[np.ndarray, np.ndarray]:
+    """The mean path loss and shadowing sigma of each link of _seat_links."""
+    return (np.array([pl for _, _, _, pl in links]),
+            np.array([model.sigma_db for _, model, _, _ in links]))
+
+
+def _shadowed_path_loss(links, seed: int, n_draws: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Path loss for n_draws draws of every link of _seat_links: each link's mean
+    plus sigma times the _standard_normals block, as (start, block) pairs, with
+    n_draws checked when this is called."""
+    blocks = _standard_normals(seed, n_draws, len(links))
+    means, sigmas = _means_and_sigmas(links)
+    return ((start, means + sigmas * z) for start, z in blocks)
+
+
+def _row_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mean, median, 5th percentile) of each row, bit for bit np.mean, np.median
+    and np.percentile(rows, 5.0, axis=1), whose default 'linear' method is
+    restated here. The rows are reordered in place, never copied.
+
+    ndarray.partition with one kth (a SIMD quickselect in numpy >= 2, several
+    times faster than with a list of kths) puts rank k at column k and ranks
+    0..k-1 before it, so rank k - 1 is their max. A row whose mean is NaN holds
+    a NaN or both infinities; it goes through numpy's own functions, which give
+    NaN for a NaN row.
+    """
+    n = rows.shape[1]
+    # The mean reads each row in draw order, so it goes before any partition.
+    means = np.mean(rows, axis=1)
+    # numpy's virtual index v = (n - 1) q lies between ranks floor(v) and
+    # floor(v) + 1, weighted by g = v - floor(v). For n = 1 both are the last
+    # rank, which numpy indexes as -1, so g = v + 1.
+    v = (n - 1) * (5.0 / 100)
+    if n > 1:
+        k = math.floor(v) + 1
+        rows.partition(k, axis=1)
+        a, b, g = rows[:, :k].max(axis=1), rows[:, k], v - (k - 1)
+    else:
+        a, b, g = rows[:, 0], rows[:, 0], v + 1.0
+    # numpy's _lerp, which interpolates from the nearer neighbour.
+    p05s = b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+    half = n // 2
+    rows.partition(half, axis=1)
+    if n % 2:
+        medians = np.mean(rows[:, half:half + 1], axis=1)
+    else:
+        medians = np.mean(np.stack((rows[:, :half].max(axis=1), rows[:, half]), axis=1), axis=1)
+    for i in np.flatnonzero(np.isnan(means)):
+        p05s[i] = np.percentile(rows[i], 5.0, overwrite_input=True)
+        medians[i] = np.median(rows[i], overwrite_input=True)
+    return means, medians, p05s
 
 
 def interference_footprint(
@@ -202,7 +280,8 @@ def interference_footprint(
     sum of the others plus noise. The active seats must be distinct. An
     unknown or excluded seat raises SeatNotFoundError or ExcludedPositionError
     before n_draws is checked. The only array that grows with n_draws is one
-    (seats, n_draws) float64 SINR buffer.
+    (seats, n_draws) float64 SINR buffer; _row_stats takes its statistics in
+    place.
     """
     if not active_seats:
         raise ValueError("need at least one active seat")
@@ -219,11 +298,7 @@ def interference_footprint(
         block_sinr = 10.0 * np.log10(rx_mw / (noise_mw + total_mw - rx_mw))
         sinr_db[:, start:start + len(block_sinr)] = block_sinr.T
 
-    # The mean reads each row in draw order, so it goes first; the percentile and
-    # the median then reorder the rows in place instead of copying them.
-    means = np.mean(sinr_db, axis=1)
-    p05s = np.percentile(sinr_db, 5.0, axis=1, overwrite_input=True)
-    medians = np.median(sinr_db, axis=1, overwrite_input=True)
+    means, medians, p05s = _row_stats(sinr_db)
     return [
         FootprintSummary(
             seat_id=seat_id,
@@ -233,6 +308,45 @@ def interference_footprint(
         )
         for i, seat_id in enumerate(active_seats)
     ]
+
+
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _order_keys(x: np.ndarray) -> np.ndarray:
+    """uint64 keys that sort like the non-NaN float64 values x."""
+    bits = x.view(np.uint64)
+    return np.where(bits & _SIGN_BIT, ~bits, bits ^ _SIGN_BIT)
+
+
+def _key_values(keys: np.ndarray) -> np.ndarray:
+    """The float64 values of _order_keys keys."""
+    return np.where(keys & _SIGN_BIT, keys ^ _SIGN_BIT, ~keys).view(np.float64)
+
+
+def _pass_thresholds(means: np.ndarray, sigmas: np.ndarray, pl_max: float) -> np.ndarray:
+    """Per link, the largest float64 t (or +-inf) with means + sigmas * t <= pl_max
+    as numpy evaluates it, fl(m + fl(s * t)); a draw z passes exactly when z <= t.
+
+    For a finite m and s > 0, fl(m + fl(s * t)) is non-decreasing in t, since each
+    rounding is, and it is -inf at t = -inf; so a bisection over the ordered
+    doubles from -inf to +inf finds t in at most 64 steps. (Stepping by ulps from
+    (pl_max - m) / s, instead, needs about ulp(m) / ulp(pl_max - m) steps, which is
+    millions when pl_max is close to m.) For s == 0, and for a mean that is not
+    finite, a draw's path loss is m itself, so t is +inf when m <= pl_max and
+    -inf otherwise.
+    """
+    constant = (sigmas == 0) | ~np.isfinite(means)
+    m, s = np.where(constant, 0.0, means), np.where(constant, 1.0, sigmas)
+    lo = _order_keys(np.full(len(m), -np.inf))
+    hi = _order_keys(np.full(len(m), np.inf)) + np.uint64(1)  # one past +inf, never probed
+    # Far from the boundary s * t overflows to +-inf, which still compares right.
+    with np.errstate(over="ignore"):
+        while (hi - lo > 1).any():
+            mid = lo + (hi - lo) // np.uint64(2)
+            passes = m + s * _key_values(mid) <= pl_max
+            lo, hi = np.where(passes, mid, lo), np.where(passes, hi, mid)
+    return np.where(constant, np.where(means <= pl_max, np.inf, -np.inf), _key_values(lo))
 
 
 def empirical_coverage(
@@ -246,17 +360,19 @@ def empirical_coverage(
 ) -> dict[int, float]:
     """Fraction of shadowing draws whose SNR clears the threshold, per seat.
 
-    The draws are counted block by block, so memory does not grow with n_draws.
+    A draw of link j clears it when its path loss, means[j] + sigmas[j] * z, is
+    at most max_path_loss_db(config). The draws are counted block by block as
+    z <= _pass_thresholds(...)[j] on the standard normals, which gives the same
+    counts without forming the path loss; memory does not grow with n_draws.
     """
     links = _seat_links(layout, models, height, None, use_all_model)
-    seat_ids = [seat_id for seat_id, _, _, _ in links]
-    blocks = _shadowed_path_loss(links, seed, n_draws)
-    pl_max = max_path_loss_db(config)
-    counts = np.zeros(len(seat_ids), dtype=np.int64)
-    for _, pl_db in blocks:
-        counts += np.count_nonzero(pl_db <= pl_max, axis=0)
+    blocks = _standard_normals(seed, n_draws, len(links))
+    thresholds = _pass_thresholds(*_means_and_sigmas(links), max_path_loss_db(config))
+    counts = np.zeros(len(links), dtype=np.int64)
+    for _, z in blocks:
+        counts += np.count_nonzero(z <= thresholds, axis=0)
     fractions = counts / n_draws
-    return {seat_id: float(fractions[i]) for i, seat_id in enumerate(seat_ids)}
+    return {seat_id: float(fractions[i]) for i, (seat_id, _, _, _) in enumerate(links)}
 
 
 def reports_to_csv(reports: Sequence[SeatReport]) -> str:

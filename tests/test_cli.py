@@ -4,8 +4,10 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from busloss.cli import build_parser, main
+from busloss.cli import _json_table, build_parser, main
 from busloss.geometry import default_layout, layout_to_dict
 from busloss.models import HeightClass, Region, builtin_model, model_to_dict
 
@@ -628,6 +630,39 @@ class TestSweepAndFootprint:
         rows = json.loads(out)
         assert len(rows) == 30
         assert {"seat", "snr_db", "coverage", "extrapolated"} <= set(rows[0])
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.dictionaries(
+        st.text(max_size=4),
+        st.floats() | st.integers() | st.booleans() | st.none() | st.text(max_size=4),
+        max_size=5)))
+    def test_json_table_is_indented_dumps(self, records):
+        assert _json_table(records) == json.dumps(records, indent=2)
+
+
+class TestBudgetRanges:
+    """Budgets whose powers leave float64, or drown the noise in it, exit 2 and
+    name the fields instead of printing Infinity, NaN or -inf."""
+
+    FOOTPRINT = ["footprint", "--height", "upper", "--active", "14,2", "--seed", "1",
+                 "--draws", "100"]
+
+    @pytest.mark.parametrize("argv, budget, expected", [
+        (["sweep", "--height", "upper", "--format", "json"], {"tx_power_dbm": 1e300},
+         "tx_power_dbm must be in [-300, 300], got 1e+300"),
+        (FOOTPRINT + ["--format", "json"], {"tx_power_dbm": 1e300},
+         "tx_power_dbm must be in [-300, 300], got 1e+300"),
+        (FOOTPRINT, {"tx_power_dbm": -3500}, "tx_power_dbm must be in [-300, 300], got -3500"),
+        (["footprint", "--height", "upper", "--active", "14", "--seed", "1", "--draws", "100"],
+         {"tx_power_dbm": 300}, "tx_power_dbm + g_tx_dbi + g_rx_dbi is 377.655 dB above"),
+    ], ids=["sweep-1e300", "footprint-json-1e300", "footprint-csv-minus-3500", "lone-seat-300"])
+    def test_out_of_range_budget_exit_2(self, capsys, tmp_path, argv, budget, expected):
+        path = tmp_path / "budget.json"
+        path.write_text(json.dumps(budget))
+        code, out, err = run(capsys, *argv, "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: bad budget config (")
+        assert expected in err
 
 
 class TestParserCache:

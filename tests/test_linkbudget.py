@@ -21,7 +21,10 @@ from busloss.geometry import (
 from busloss.linkbudget import (
     _DRAW_CHUNK_ROWS,
     MAX_DRAW_LINKS,
+    MAX_LINK_SNR_DB,
     LinkBudgetConfig,
+    _pass_thresholds,
+    _row_stats,
     _seat_links,
     _shadowed_path_loss,
     empirical_coverage,
@@ -285,6 +288,18 @@ class TestEmpiricalCoverage:
             margin = 3 * math.sqrt(p * (1 - p) / n_draws) + 0.002
             assert abs(fraction - p) <= margin
 
+    def test_threshold_plus_inf(self):
+        layout, models = two_seat_layout(sigma=3.0)
+        config = LinkBudgetConfig(snr_threshold_db=math.inf)
+        cov = empirical_coverage(layout, models, config, HeightClass.UPPER, seed=0, n_draws=100)
+        assert set(cov.values()) == {0.0}
+
+    @pytest.mark.parametrize("tx_power_dbm, expected", [(-300.0, 0.0), (120.0, 1.0)])
+    def test_budget_range_ends(self, tx_power_dbm, expected):
+        config = LinkBudgetConfig(tx_power_dbm=tx_power_dbm)
+        cov = empirical_coverage(LAYOUT, REGISTRY, config, HeightClass.UPPER, seed=0, n_draws=100)
+        assert set(cov.values()) == {expected}
+
 
 class TestMutatedLayout:
     """A seat appended to a copy of default_layout(), built by replace, takes part in
@@ -362,6 +377,94 @@ class TestDrawBlocks:
         assert coverage == {seat_id: fractions[i] for i, seat_id in enumerate(seat_ids)}
 
 
+class TestRowStats:
+    """_row_stats against numpy's own np.mean, np.median and np.percentile(..., 5.0),
+    bit for bit. Rows are normal, tied (halves) or small integers, some with
+    infinities or a NaN. Each zero is +0.0: the SINR, 10*log10(x), is never -0.0,
+    and with both zeros in a row which of them lands at a rank depends on the
+    partition's order."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 5_000) | st.sampled_from([4_097, 100_003, 500_000]),
+        n_rows=st.integers(1, 3),
+        kind=st.sampled_from(["normal", "tied", "integer"]),
+        specials=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_numpy(self, n, n_rows, kind, specials, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((n_rows, n)) * 4.0 - 10.0
+        if kind == "tied":
+            rows = np.round(rows * 2.0) / 2.0
+        elif kind == "integer":
+            rows = rng.integers(-3, 4, (n_rows, n)).astype(float)
+        for value in specials:
+            rows[rng.integers(n_rows), rng.integers(n)] = value
+        rows += 0.0
+        # Both sides subtract infinities in the interpolation.
+        with np.errstate(invalid="ignore"):
+            expected = (np.mean(rows, axis=1), np.median(rows, axis=1),
+                        np.percentile(rows, 5.0, axis=1))
+            got = _row_stats(rows.copy())
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+
+def path_loss_passes(means, sigmas, z, pl_max):
+    """The coverage rule as the draws state it: means + sigmas * z <= pl_max."""
+    return means + sigmas * z <= pl_max
+
+
+class TestPassThresholds:
+    """z <= _pass_thresholds(...) must count exactly the draws whose path loss
+    means + sigmas * z is at most pl_max, boundary draws included."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        means=st.lists(st.floats(-500.0, 500.0), min_size=1, max_size=6),
+        sigma_pool=st.lists(st.just(0.0) | st.floats(1e-6, 50.0), min_size=6, max_size=6),
+        offset=st.floats(-60.0, 60.0) | st.sampled_from([0.0, 1e-12, -1e-12]),
+        pl_max_kind=st.sampled_from(["offset", "inf", "-inf"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counts_equal_the_path_loss_rule(self, means, sigma_pool, offset, pl_max_kind, seed):
+        means = np.array(means)
+        sigmas = np.array(sigma_pool[:len(means)])
+        pl_max = {"offset": float(means[0]) + offset, "inf": math.inf, "-inf": -math.inf}[pl_max_kind]
+        z = np.random.default_rng(seed).standard_normal((200, len(means)))
+        # Draws on each link's boundary: solve for z, then step 1 and 2 ulps both ways.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            boundary = (pl_max - means) / sigmas
+        boundary = np.where(np.isfinite(boundary), boundary, 0.0)
+        for steps in range(-2, 3):
+            z[steps + 2] = boundary
+            for _ in range(abs(steps)):
+                z[steps + 2] = np.nextafter(z[steps + 2], math.copysign(math.inf, steps))
+        thresholds = _pass_thresholds(means, sigmas, pl_max)
+        assert np.array_equal(np.count_nonzero(z <= thresholds, axis=0),
+                              np.count_nonzero(path_loss_passes(means, sigmas, z, pl_max), axis=0))
+
+    @pytest.mark.parametrize("pl_max", [math.inf, -math.inf, 1e308, -1e308, 0.0, 5e-324])
+    def test_largest_passing_double(self, pl_max):
+        """Far outside any budget range, and with no RuntimeWarning (which the
+        suite turns into an error): each finite t passes and the next double up
+        does not; +inf passes; -inf is returned only when the smallest finite
+        double fails."""
+        means = np.array([100.0, -1e300, 1e300, 0.0, 80.0, 80.0])
+        sigmas = np.array([3.0, 1e10, 2.0, 1e-300, 1e300, 0.0])
+        thresholds = _pass_thresholds(means, sigmas, pl_max)
+        with np.errstate(over="ignore"):
+            for m, s, t in zip(means, sigmas, thresholds):
+                if s == 0:
+                    assert t == (math.inf if m <= pl_max else -math.inf)
+                elif math.isinf(t):
+                    probe = np.nextafter(-math.inf, 0.0) if t < 0 else t
+                    assert path_loss_passes(m, s, probe, pl_max) == (t > 0)
+                else:
+                    assert path_loss_passes(m, s, t, pl_max)
+                    assert not path_loss_passes(m, s, np.nextafter(t, math.inf), pl_max)
+
+
 def traced_peak(call) -> int:
     """Peak bytes traced while call() runs; tracemalloc sees numpy's buffers."""
     tracemalloc.start()
@@ -428,3 +531,33 @@ class TestConfigValidation:
 
     def test_infinite_threshold_allowed(self):
         assert LinkBudgetConfig(snr_threshold_db=math.inf).snr_threshold_db == math.inf
+
+    @pytest.mark.parametrize("name, value", [
+        ("tx_power_dbm", 300.5), ("tx_power_dbm", -1e300), ("g_tx_dbi", 301.0),
+        ("g_rx_dbi", -300.5), ("bandwidth_hz", 1.5e12), ("noise_figure_db", 300.5),
+    ])
+    def test_out_of_range_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be in"):
+            LinkBudgetConfig(**{name: value})
+
+    def test_range_ends_allowed(self):
+        LinkBudgetConfig(tx_power_dbm=-300.0, g_tx_dbi=-300.0, g_rx_dbi=-300.0,
+                         bandwidth_hz=1e12, noise_figure_db=300.0)
+
+    def test_link_snr_at_zero_path_loss_bounded(self):
+        config = replace(CONFIG, tx_power_dbm=MAX_LINK_SNR_DB - link_snr(CONFIG, 0.0) + 10.0)
+        assert link_snr(config, 0.0) == pytest.approx(MAX_LINK_SNR_DB)
+        with pytest.raises(ValueError, match=r"tx_power_dbm \+ g_tx_dbi \+ g_rx_dbi"):
+            replace(config, tx_power_dbm=config.tx_power_dbm + 0.01)
+        with pytest.raises(ValueError, match="bandwidth_hz and noise_figure_db"):
+            replace(config, bandwidth_hz=1e-300)
+
+    @pytest.mark.parametrize("height", list(HeightClass))
+    def test_footprint_finite_at_the_limit(self, height):
+        """A lone seat and the whole layout, at the most power the bound allows."""
+        config = LinkBudgetConfig(tx_power_dbm=22.0, bandwidth_hz=1.0, noise_figure_db=0.0)
+        assert link_snr(config, 0.0) == MAX_LINK_SNR_DB
+        seats = seats_in_group(LAYOUT, Region.ALL, height)
+        for active in (seats[:1], seats):
+            for s in interference_footprint(LAYOUT, REGISTRY, config, active, height, 3, 2_000):
+                assert all(map(math.isfinite, (s.mean_db, s.median_db, s.p05_db)))
