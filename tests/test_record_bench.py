@@ -26,11 +26,11 @@ def test_summary_of_traced_pairs():
         record("change", 2, 1, a=3.0, b=0.0, c=0.0),  # change ran first on seed 2
         record("parent", 2, 1, a=4.0, b=0.0, c=0.0),
         record("parent", 3, 1, a=8.0, b=1.0, c=0.0),
-        record("change", 3, 1, a=2.0, b=2.0, c=0.0),
+        record("change", 3, 1, a=1.0, b=2.0, c=0.0),
     ]
     summary = record_bench.summarise(records, ["a", "b", "c"])
-    # a: parent 2, 4, 8 and change 1, 3, 2; ratios 0.5, 0.75, 0.25.
-    assert summary["w"]["a"] == {"parent": 4.0, "change": 2.0, "change_over_parent": 0.5,
+    # a: parent 2, 4, 8 and change 1, 3, 1; ratios 0.5, 0.75, 0.125 (mean 0.458).
+    assert summary["w"]["a"] == {"parent": 4.0, "change": 1.0, "change_over_parent": 0.5,
                                  "pairs": 3}
     # b: only seed 3's parent is nonzero, so one ratio, 2.0.
     assert summary["w"]["b"] == {"parent": 0.0, "change": 0.5, "change_over_parent": 2.0,
