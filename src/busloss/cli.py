@@ -132,12 +132,15 @@ _RECORD_ENCODER = json.JSONEncoder(separators=(",\n    ", ": "))
 
 
 def _json_table(records: list[dict]) -> str:
-    """json.dumps(records, indent=2) for a list of flat dicts, byte for byte."""
+    """json.dumps(records, indent=2) for a list of flat dicts, byte for byte.
+
+    One C encode lays out the whole list; the text between two records,
+    "},\n    {", cannot occur inside a flat record, whose strings hold no raw
+    newline, so splitting there gives each record's fields."""
     if not records:
         return "[]"
-    return "[\n  " + ",\n  ".join(
-        "{\n    " + _RECORD_ENCODER.encode(r)[1:-1] + "\n  }" if r else "{}" for r in records
-    ) + "\n]"
+    bodies = _RECORD_ENCODER.encode(records)[2:-2].split("},\n    {")
+    return "[\n  " + ",\n  ".join("{\n    " + b + "\n  }" if b else "{}" for b in bodies) + "\n]"
 
 
 def _write_table(args, items, to_dict, to_csv) -> int:

@@ -1,8 +1,8 @@
 """Least-squares estimation of (alpha, beta, sigma) from path loss samples.
 
-Fitting is ordinary least squares of path loss on 10*log10(distance); the
-intercept is alpha, the slope is beta, and sigma is the residual standard
-deviation with n-2 degrees of freedom.
+Fitting is ordinary least squares of path loss on x = 10*log10(distance), in
+closed form about the mean of x; the intercept is alpha, the slope is beta,
+and sigma is the residual standard deviation with n-2 degrees of freedom.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from .models import (
     HeightClass,
     PathLossModel,
     Region,
+    TagColumn,
     csv_text,
+    float_cells,
     model_to_dict,
     read_csv,
 )
@@ -43,15 +45,17 @@ SAMPLE_TAGS = {"seat": int, "region": Region, "height": HeightClass}
 class SampleSet:
     """(distance, path loss) pairs with optional seat/region/height tags: an immutable
     record, validated when built. Every column is read-only: the float arrays are views
-    of those given, not copies, and each tag column is a 1-D object array copied from
-    the tags given (or None).
+    of those given, not copies, and each tag column is a categorical TagColumn (or
+    None): read-only intp codes, -1 where a tag is missing, into the tuple of its
+    distinct tags. A tag column may be given as a TagColumn or as any sequence of
+    tags, such as a list or an object array; column[i] is the tag of sample i.
     dataclasses.replace builds an edited copy and validates it again."""
 
     distance_m: np.ndarray
     path_loss_db: np.ndarray
-    seat: np.ndarray | None = None
-    region: np.ndarray | None = None
-    height: np.ndarray | None = None
+    seat: TagColumn | None = None
+    region: TagColumn | None = None
+    height: TagColumn | None = None
 
     def __post_init__(self) -> None:
         for name in ("distance_m", "path_loss_db"):
@@ -69,12 +73,8 @@ class SampleSet:
                 continue
             if len(tags) != len(self.distance_m):
                 raise ValueError(f"{name} tags must match sample count")
-            if isinstance(tags, np.ndarray) and tags.dtype == object and tags.ndim == 1:
-                column = tags.copy()  # what fromiter builds, without a Python step per tag
-            else:
-                column = np.fromiter(tags, object, len(tags))
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+            if not isinstance(tags, TagColumn):
+                object.__setattr__(self, name, TagColumn.of(tags))
 
     def __len__(self) -> int:
         return len(self.distance_m)
@@ -82,17 +82,16 @@ class SampleSet:
 
 @dataclass
 class FitResult:
-    """Fitted model plus residual diagnostics."""
+    """Fitted model plus residual diagnostics: alpha_se_db and beta_se are the
+    standard errors of alpha and beta, sigma*sqrt(1/n + mean(x)^2/Sxx) and
+    sigma/sqrt(Sxx), where Sxx is the sum of squares of x about its mean."""
 
     model: PathLossModel
     residuals_db: np.ndarray
     r_squared: float
     n: int
-
-
-def _uniform_tag(tags):
-    values = set() if tags is None else set(tags)
-    return values.pop() if len(values) == 1 else None
+    alpha_se_db: float
+    beta_se: float
 
 
 def fit_log_distance(
@@ -102,8 +101,8 @@ def fit_log_distance(
 ) -> FitResult:
     """OLS fit of the log-distance model; raises when the data cannot support it.
 
-    region/height tag the resulting model; left at None they are inferred
-    from the samples when the tags are uniform.
+    region/height tag the resulting model; left at None they are taken from the
+    samples' tag column when every sample has the same tag.
     """
     n = len(samples)
     if n < 3:
@@ -114,24 +113,32 @@ def fit_log_distance(
 
     x = 10.0 * np.log10(d)
     y = samples.path_loss_db
+    x_mean = float(x.mean())
+    xc = x - x_mean
+    sxx = float(xc @ xc)
+    if not sxx > 0.0:  # distances too close for log10 to tell apart
+        raise DegenerateDataError("need at least two distinct distances")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
-        beta, alpha = np.polyfit(x, y, 1)
+        y_mean = float(y.mean())
+        yc = y - y_mean
+        beta = float(xc @ yc) / sxx
+        alpha = y_mean - beta * x_mean
         residuals = y - (alpha + beta * x)
         ssr = float(residuals @ residuals)
-        sst = float(np.sum((y - y.mean()) ** 2))
+        sst = float(yc @ yc)
     if not math.isfinite(ssr):
         raise DegenerateDataError("path losses too large to fit in double precision")
     sigma = math.sqrt(ssr / (n - 2))
     r_squared = 1.0 if sst == 0.0 else min(1.0, max(0.0, 1.0 - ssr / sst))
+    if region is None and samples.region is not None:
+        region = samples.region.uniform()
+    if height is None and samples.height is not None:
+        height = samples.height.uniform()
 
-    model = PathLossModel(
-        alpha_db=float(alpha),
-        beta=float(beta),
-        sigma_db=sigma,
-        region=region if region is not None else _uniform_tag(samples.region),
-        height=height if height is not None else _uniform_tag(samples.height),
-    )
-    return FitResult(model=model, residuals_db=residuals, r_squared=r_squared, n=n)
+    model = PathLossModel(alpha_db=alpha, beta=beta, sigma_db=sigma, region=region, height=height)
+    return FitResult(model=model, residuals_db=residuals, r_squared=r_squared, n=n,
+                     alpha_se_db=sigma * math.sqrt(1.0 / n + x_mean**2 / sxx),
+                     beta_se=sigma / math.sqrt(sxx))
 
 
 @dataclass
@@ -142,20 +149,45 @@ class PartitionFit:
     skipped: list[tuple[Region, HeightClass, int]] = field(default_factory=list)
 
 
+def _ranks(column: TagColumn, known: list) -> np.ndarray:
+    """Each sample's index of its tag in known, as uint8; len(known) for a tag
+    not in known or a missing one."""
+    table = [known.index(v) if v in known else len(known) for v in column.values]
+    return np.array([*table, len(known)], np.uint8)[column.codes]
+
+
 def fit_by_partition(samples: SampleSet) -> PartitionFit:
-    """Fit every tagged (region, height) cell plus a pooled All cell per height."""
+    """Fit every tagged (region, height) cell plus a pooled All cell per height.
+
+    A region cell holds the samples tagged with both its region and its height;
+    a height's All cell holds every sample of that height, whatever its region
+    tag, so a sample tagged All or with no region joins only that cell. A sample
+    with no height joins no cell. Each cell gets its samples in file order."""
     if samples.region is None or samples.height is None:
         raise ValueError("samples must carry region and height tags")
 
+    heights, groups = list(HeightClass), [r for r in Region if r != Region.ALL]
+    height_rank = _ranks(samples.height, heights)
+    # Height-major cell keys: one stable sort puts each region cell's samples in one
+    # slice, in file order. The uint8 keys sort by radix.
+    width = len(groups) + 1
+    key = height_rank * width + _ranks(samples.region, groups)
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=(len(heights) + 1) * width)
+    ends = np.cumsum(counts)
+
     result = PartitionFit()
-    for h in HeightClass:
-        in_height = samples.height == h
+    for i, h in enumerate(heights):
         for r in Region:
-            mask = in_height if r == Region.ALL else in_height & (samples.region == r)
-            n = int(np.count_nonzero(mask))
+            if r == Region.ALL:
+                rows = np.flatnonzero(height_rank == i)
+            else:
+                k = i * width + groups.index(r)
+                rows = order[ends[k] - counts[k]:ends[k]]
+            n = len(rows)
             if n == 0:
                 continue
-            cell = SampleSet(samples.distance_m[mask], samples.path_loss_db[mask])
+            cell = SampleSet(samples.distance_m[rows], samples.path_loss_db[rows])
             try:
                 result.fits[(r, h)] = fit_log_distance(cell, region=r, height=h)
             except (InsufficientDataError, DegenerateDataError):
@@ -200,13 +232,13 @@ def synth_seat_samples(model: PathLossModel, layout: BusLayout, height: HeightCl
 def samples_to_csv(samples: SampleSet) -> str:
     """Serialize to the sample CSV schema; tag columns appear only when present."""
     header = ["distance_m", "path_loss_db"]
-    columns = [map(repr, samples.distance_m.tolist()), map(repr, samples.path_loss_db.tolist())]
+    columns = [float_cells(samples.distance_m), float_cells(samples.path_loss_db)]
     for name in SAMPLE_TAGS:
-        tags = getattr(samples, name)
-        if tags is not None:
-            text = {t: "" if t is None else str(getattr(t, "value", t)) for t in set(tags)}
+        column = getattr(samples, name)
+        if column is not None:
+            text = [str(getattr(t, "value", t)) for t in column.values]
             header.append(name)
-            columns.append([text[t] for t in tags])
+            columns.append(column.take([*text, ""]))
     return csv_text(header, zip(*columns))
 
 
@@ -223,6 +255,8 @@ def fit_result_to_dict(result: FitResult) -> dict:
     out = model_to_dict(result.model)
     out["r_squared"] = result.r_squared
     out["n"] = result.n
+    out["alpha_se_db"] = result.alpha_se_db
+    out["beta_se"] = result.beta_se
     return out
 
 

@@ -7,13 +7,14 @@ Ten fitted parameter sets ship with the package, one per seat region
 verify_registry checks the pooled sets against the paper's rounded
 coefficients, and path_loss_band gives the 5-95% shadowing band. The shared
 I/O helpers live here too: read_text, load_json_object, float_record and
-check_fields (the one unknown-key check) for input files, csv_text for CSV
-output, and read_csv, its inverse, which both CSV readers call once with
-their row rules.
+check_fields (the one unknown-key check) for input files, csv_text and
+float_cells for CSV output, and read_csv, its inverse, which both CSV readers
+call once with their row rules and which gives each tag column as a TagColumn.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import functools
 import io
 import json
@@ -328,6 +329,55 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
+def float_cells(values: np.ndarray) -> Iterable[str]:
+    """The CSV cell of each float: its repr, the shortest text that reads back to it."""
+    return map(repr, values.tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class TagColumn(collections.abc.Sequence):
+    """A categorical column of tags: row i has the tag values[codes[i]], or None
+    (a missing tag) where codes[i] is -1. codes is a read-only intp array and
+    values holds each distinct tag once, in order of first appearance; [i] and
+    iteration give the tags themselves."""
+
+    codes: np.ndarray
+    values: tuple
+
+    def __post_init__(self) -> None:
+        codes = np.asarray(self.codes, dtype=np.intp).view()
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "values", tuple(self.values))
+
+    @classmethod
+    def of(cls, tags: Sequence) -> "TagColumn":
+        """The column of a sequence of tags, one dict pass over them; None is missing."""
+        values = [tag for tag in dict.fromkeys(tags) if tag is not None]
+        index = {tag: code for code, tag in enumerate(values)}
+        index[None] = -1
+        return cls(np.fromiter(map(index.__getitem__, tags), np.intp, len(tags)), values)
+
+    def take(self, table: Sequence) -> np.ndarray:
+        """An object array of table[code] for each row's code: table has an entry
+        per value, then one for a missing tag."""
+        return np.fromiter(table, object, len(table))[self.codes]
+
+    def uniform(self):
+        """The tag of every row when all rows share one, else None."""
+        return self.values[0] if len(self.values) == 1 and self.codes.min() >= 0 else None
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i: int):
+        code = self.codes[i]
+        return None if code < 0 else self.values[code]
+
+    def __iter__(self):
+        return iter(self.take([*self.values, None]))
+
+
 # Rows read_csv converts at a time. A block's cell lists live only while
 # it is converted, so they stay a small share of the text's memory; parsing a
 # 2e5-row sample file in one block took 65% more peak memory.
@@ -339,8 +389,8 @@ _BLANK_CHARS = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002
                 "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000,")
 
 
-# The tag of a cell its column's parser rejects.
-_BAD_TAG = object()
+# The code of a cell its tag column's parser rejects.
+_BAD_TAG = -2
 
 
 def _leading_floats(cells: Sequence[str]) -> np.ndarray:
@@ -379,12 +429,13 @@ def _loadtxt_columns(body: str, width: int) -> list[np.ndarray] | None:
 def read_csv(text: str, source, kind: str, columns: Sequence[str], checks,
              tags: Mapping[str, Callable] = {}, error=ValueError):
     """The inverse of csv_text: float arrays of the columns, and for each tag
-    column in the header, an object array of its tags.
+    column in the header, a TagColumn of its tags.
 
     Lines split at line feeds (a carriage return is whitespace), cells at
     commas, nothing quoted; rows all whitespace and commas are skipped. The
     header is columns, then names of tags at most once each. A tag cell is
-    parsed by tags[name] once per distinct cell, and a blank one is None.
+    parsed by tags[name] once per distinct cell into the code of its tag, and a
+    blank one is missing (code -1).
     checks(*arrays) gives (mask over the rows, message) pairs. The first bad
     row raises error naming its line, with its first fault in the order: the
     wrong width, a cell float() rejects, each check, a tag its parser rejects.
@@ -410,8 +461,9 @@ def read_csv(text: str, source, kind: str, columns: Sequence[str], checks,
             return arrays, {}
     lines = text.split("\n")
     arrays, done = [np.empty(len(lines) - 1) for _ in columns], 0
-    found = {name: np.empty(len(lines) - 1, object) for name in names}
-    tables = {name: {} for name in names}
+    found = {name: np.empty(len(lines) - 1, np.intp) for name in names}
+    tables = {name: {} for name in names}  # cell -> code
+    distinct = {name: {} for name in names}  # tag -> code
     stop = None  # the fault of the row after the rows read
     for start in range(1, len(lines), CSV_BLOCK_ROWS):
         block = lines[start:start + CSV_BLOCK_ROWS]
@@ -429,21 +481,22 @@ def read_csv(text: str, source, kind: str, columns: Sequence[str], checks,
         for array, column in zip(arrays, values):
             array[done:done + rows] = column[:rows]
         for i, name in enumerate(names, len(columns)):
-            table, tag_cells = tables[name], cells[i:rows * width:width]
+            table, codes, tag_cells = tables[name], distinct[name], cells[i:rows * width:width]
             for cell in set(tag_cells).difference(table):
                 tag = cell.strip()
                 try:
-                    table[cell] = tags[name](tag) if tag else None
+                    table[cell] = codes.setdefault(tags[name](tag), len(codes)) if tag else -1
                 except ValueError:
                     table[cell] = _BAD_TAG
-            found[name][done:done + rows] = np.fromiter(map(table.__getitem__, tag_cells), object)
+            found[name][done:done + rows] = np.fromiter(map(table.__getitem__, tag_cells),
+                                                        np.intp, rows)
         done += rows
         if stop:
             break
     arrays = [array[:done] for array in arrays]
     found = {name: column[:done] for name, column in found.items()}
     faults = [(int(np.argmax(mask)), message) for mask, message in checks(*arrays) if mask.any()]
-    faults += [(found[name].tolist().index(_BAD_TAG), "bad tag value")
+    faults += [(int(np.argmax(found[name] == _BAD_TAG)), "bad tag value")
                for name in names if _BAD_TAG in tables[name].values()]
     if stop:
         faults.append((len(arrays[0]), stop))
@@ -451,7 +504,7 @@ def read_csv(text: str, source, kind: str, columns: Sequence[str], checks,
         row, message = min(faults, key=lambda fault: fault[0])
         kept = compress(count(2), map(str.strip, islice(lines, 1, None), repeat(_BLANK_CHARS)))
         raise error(f"{source}:{next(islice(kept, row, None))}: {message}")
-    return arrays, found
+    return arrays, {name: TagColumn(found[name], distinct[name]) for name in names}
 
 
 def model_from_dict(obj: dict) -> PathLossModel:

@@ -25,6 +25,7 @@ from .models import (
     HeightClass,
     PathLossModel,
     csv_text,
+    float_cells,
     int_field,
     load_json_object,
     read_csv,
@@ -77,9 +78,16 @@ class MeasurementSet:
     sweeps: list[PdpRecord] = field(default_factory=list)
 
 
+# The range of the radiated level and of each gain, as for a link budget's power and
+# gains. A set's received power is 10*log10 of a positive finite float, within
+# [-3,234, 3,083] dB, so every path loss lies within +-4,200 dB and its fit stays finite.
+CALIBRATION_DB_RANGE = (-300.0, 300.0)
+
+
 @dataclass(frozen=True)
 class LinkCalibration:
-    """System calibration: radiated level, antenna gains, noise window."""
+    """System calibration: radiated level, antenna gains, noise window. The
+    level and the gains must lie in CALIBRATION_DB_RANGE."""
 
     radiated_power_db: float
     g_tx_dbi: float = 2.0
@@ -87,11 +95,11 @@ class LinkCalibration:
     noise_threshold_db: float = DEFAULT_NOISE_THRESHOLD_DB
 
     def __post_init__(self) -> None:
+        low, high = CALIBRATION_DB_RANGE
         for name in ("radiated_power_db", "g_tx_dbi", "g_rx_dbi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not math.isfinite(self.radiated_power_db + self.g_tx_dbi + self.g_rx_dbi):
-            raise ValueError("radiated_power_db + g_tx_dbi + g_rx_dbi must be finite")
+            value = getattr(self, name)
+            if not low <= value <= high:  # NaN fails too
+                raise ValueError(f"{name} must be in [{low:g}, {high:g}], got {value}")
         if not self.noise_threshold_db > 0:
             raise ValueError("noise_threshold_db must be > 0")
 
@@ -201,9 +209,7 @@ PDP_CSV_HEADER = ("delay_ns", "power_db")
 
 
 def pdp_to_csv(pdp: PdpRecord) -> str:
-    return csv_text(
-        PDP_CSV_HEADER, zip(map(repr, pdp.delays_ns.tolist()), map(repr, pdp.powers_db.tolist()))
-    )
+    return csv_text(PDP_CSV_HEADER, zip(float_cells(pdp.delays_ns), float_cells(pdp.powers_db)))
 
 
 def load_pdp_csv(path: str | Path) -> PdpRecord:

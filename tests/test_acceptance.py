@@ -92,24 +92,34 @@ def test_criterion_3_delay_to_distance():
 
 
 def test_criterion_4_fit_round_trip_statistical():
+    # The tolerances must each span at least MIN_SES standard errors of every fit:
+    # the fit's own alpha_se_db and beta_se, and sigma/sqrt(2(n-2)) for sigma.
+    MIN_SES = 2.5
     start = time.monotonic()
     all_ok = True
     details = []
+    widths = []
     for model in builtin_models():
         hits = 0
         for seed in range(100):
             rng = np.random.default_rng(10_000 + seed)
             distances = rng.uniform(1.0, 12.0, 10**4)
-            fitted = fit_log_distance(synth_samples(model, distances, seed=seed)).model
+            result = fit_log_distance(synth_samples(model, distances, seed=seed))
+            fitted = result.model
+            widths.append((0.3 / result.alpha_se_db, 0.07 / result.beta_se,
+                           0.06 * math.sqrt(2 * (result.n - 2)) / fitted.sigma_db))
             if (abs(fitted.alpha_db - model.alpha_db) <= 0.3
                     and abs(fitted.beta - model.beta) <= 0.07
                     and abs(fitted.sigma_db - model.sigma_db) <= 0.06):
                 hits += 1
         details.append(f"{model.region.value}/{model.height.value}:{hits}")
         all_ok = all_ok and hits >= 95
+    narrowest = np.min(widths, axis=0)
     elapsed = time.monotonic() - start
-    report(4, all_ok and elapsed < 30.0,
-           f"round-trip hits per model [{', '.join(details)}] ({elapsed:.1f}s)")
+    report(4, all_ok and bool(np.all(narrowest >= MIN_SES)) and elapsed < 30.0,
+           f"round-trip hits per model [{', '.join(details)}]; tolerances span at least "
+           f"{narrowest[0]:.2f}/{narrowest[1]:.2f}/{narrowest[2]:.2f} SEs of "
+           f"alpha/beta/sigma ({elapsed:.1f}s)")
 
 
 def test_criterion_5_noiseless_fit_exactness():

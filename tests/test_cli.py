@@ -409,8 +409,24 @@ class TestProcessPipeline:
         }[command]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert str(cal) in err and "radiated_power_db + g_tx_dbi + g_rx_dbi" in err
+        assert str(cal) in err and "radiated_power_db must be in [-300, 300], got 1e+308" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("calibration, expected", [
+        ({"radiated_power_db": 1e300}, "radiated_power_db must be in [-300, 300], got 1e+300"),
+        ({"radiated_power_db": 0.0, "g_rx_dbi": -301}, "g_rx_dbi must be in [-300, 300], got -301.0"),
+        ({"radiated_power_db": 0.0, "g_tx_dbi": 1e300, "g_rx_dbi": -1e300},
+         "g_tx_dbi must be in [-300, 300], got 1e+300"),
+    ], ids=["radiated-1e300", "g-rx-minus-301", "gains-cancel"])
+    def test_out_of_range_calibration_exit_2(self, capsys, tmp_path, calibration, expected):
+        cal = tmp_path / "cal.json"
+        cal.write_text(json.dumps(calibration))
+        samples = tmp_path / "s.csv"
+        code, out, err = run(capsys, "process", str(write_set(tmp_path / "pdp", [["13.5,-90"]])),
+                             str(cal), "-o", str(samples))
+        assert (code, out) == (2, "")
+        assert err == f"error: {cal}: bad calibration ({expected})\n"
+        assert not samples.exists()
 
 
 # Valid input lines of each CSV reader: a sample file through fit, a sweep file through process.
@@ -637,6 +653,14 @@ class TestSweepAndFootprint:
         st.floats() | st.integers() | st.booleans() | st.none() | st.text(max_size=4),
         max_size=5)))
     def test_json_table_is_indented_dumps(self, records):
+        assert _json_table(records) == json.dumps(records, indent=2)
+
+    @pytest.mark.parametrize("records", [
+        [{}], [{}, {}], [{"a": 1}, {}], [{}, {"a": 1}, {}],
+        [{"a": "}"}, {"b": ","}, {"c": "\n"}],
+        [{"},\n    {": "},\n    {"}, {"x": "}, {", "y": "{}"}, {"z": "\n  },\n  {"}],
+    ])
+    def test_json_table_record_boundaries(self, records):
         assert _json_table(records) == json.dumps(records, indent=2)
 
 

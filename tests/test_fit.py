@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from busloss.fit import (
     DegenerateDataError,
@@ -66,6 +68,18 @@ class TestFitLogDistance:
         result = fit_log_distance(SampleSet(d, y))
         assert result.model.beta == pytest.approx(beta, rel=1e-9)
         assert result.model.alpha_db == pytest.approx(alpha, rel=1e-9)
+
+    @pytest.mark.parametrize("region, expected", [
+        ([Region.B] * 4, Region.B),
+        ([Region.B, Region.B, None, Region.B], None),
+        ([Region.B, Region.C, Region.B, Region.B], None),
+        ([None] * 4, None),
+        (None, None),
+    ], ids=["uniform", "one-missing", "two-values", "all-missing", "no-column"])
+    def test_model_tag_from_a_uniform_column(self, region, expected):
+        samples = SampleSet(np.array([1.0, 2.0, 4.0, 8.0]), np.array([80.0, 86.0, 92.0, 97.0]),
+                            region=region)
+        assert fit_log_distance(samples).model.region is expected
 
     def test_too_few_samples(self):
         with pytest.raises(InsufficientDataError):
@@ -180,6 +194,40 @@ class TestFitByPartition:
                 expected.append((r, h))
         assert list(result.fits) == expected
         assert result.skipped == []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+        st.lists(st.sampled_from([1.0, 2.0, 4.5]) | st.floats(0.5, 15.0), min_size=n, max_size=n),
+        st.lists(st.floats(60.0, 120.0), min_size=n, max_size=n),
+        st.lists(st.sampled_from([None, *Region]), min_size=n, max_size=n),
+        st.lists(st.sampled_from([None, *HeightClass]), min_size=n, max_size=n))))
+    def test_equals_boolean_mask_cells_bit_for_bit(self, columns):
+        # Reference: each cell's samples picked by a boolean mask over object columns,
+        # in file order; a tag None or Region.ALL joins only its height's All cell.
+        distance, loss, region, height = columns
+        samples = SampleSet(np.array(distance, float), np.array(loss, float),
+                            region=region, height=height)
+        regions, heights = np.array(region, object), np.array(height, object)
+        fits, skipped = {}, []
+        for h in HeightClass:
+            for r in Region:
+                mask = (heights == h) & ((regions == r) | (r is Region.ALL))
+                if mask.any():
+                    cell = SampleSet(samples.distance_m[mask], samples.path_loss_db[mask])
+                    try:
+                        fits[(r, h)] = fit_log_distance(cell, region=r, height=h)
+                    except (InsufficientDataError, DegenerateDataError):
+                        skipped.append((r, h, int(mask.sum())))
+        result = fit_by_partition(samples)
+        assert list(result.fits) == list(fits) and result.skipped == skipped
+
+        def bits(res):
+            m = res.model
+            return ([float(v).hex() for v in (m.alpha_db, m.beta, m.sigma_db, res.r_squared,
+                                              res.alpha_se_db, res.beta_se)],
+                    m.region, m.height, res.n, res.residuals_db.tobytes())
+
+        assert [bits(res) for res in result.fits.values()] == [bits(res) for res in fits.values()]
 
     def test_small_cell_skipped(self):
         samples = SampleSet(

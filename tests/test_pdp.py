@@ -1,5 +1,7 @@
 """Tests for power delay profile reduction and measurement directory I/O."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -324,8 +326,15 @@ class TestCalibrationValidation:
         {"radiated_power_db": -1e308, "g_rx_dbi": -1e308},
     ])
     def test_radiated_level_must_be_finite(self, fields):
-        with pytest.raises(ValueError, match=r"radiated_power_db \+ g_tx_dbi \+ g_rx_dbi"):
+        with pytest.raises(ValueError, match=r"radiated_power_db must be in \[-300, 300\]"):
             LinkCalibration(**fields)
+
+    @pytest.mark.parametrize("level", [-300.0, 300.0])
+    def test_range_ends_give_finite_path_loss(self, level):
+        cal = LinkCalibration(radiated_power_db=level, g_tx_dbi=level, g_rx_dbi=level)
+        for power in (-3000.0, 3000.0):  # near the ends of a float's dB range
+            mset = MeasurementSet(14, HeightClass.UPPER, [PdpRecord([13.5], [power])])
+            assert math.isfinite(aggregate_measurement(mset, cal)[1])
 
 
 class TestSynthAndSamples:
@@ -367,7 +376,7 @@ class TestSynthAndSamples:
             CAL, 1, seed=0,
         )
         samples = measurements_to_samples(sets, CAL, layout)
-        assert samples.region == [layout.seat(14).group]
+        assert list(samples.region) == [layout.seat(14).group]
 
     def test_no_sets_gives_empty_samples(self):
         samples = measurements_to_samples([], CAL)

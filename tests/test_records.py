@@ -2,6 +2,7 @@
 which builds a new record and so runs the constructor's checks again. The arrays
 inside a record are read-only too."""
 
+import operator
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from busloss.fit import SampleSet, synth_samples
 from busloss.geometry import LayoutError, Point3, SeatSpec, default_layout
-from busloss.models import HeightClass, Region, builtin_model
+from busloss.models import HeightClass, Region, TagColumn, builtin_model
 from busloss.pdp import PdpRecord
 
 LAYOUT = default_layout()
@@ -49,11 +50,13 @@ def test_edit_only_through_validating_replace(record, direct_edit, direct_error,
 
 @pytest.mark.parametrize("write, error, message", [
     (lambda: SAMPLES.region.append(Region.B), AttributeError, "append"),
-    (lambda: SAMPLES.region.__setitem__(0, Region.B), ValueError, "read-only"),
+    (lambda: SAMPLES.region.codes.__setitem__(0, 0), ValueError, "read-only"),
+    (lambda: operator.setitem(SAMPLES.region, 0, Region.B), TypeError, "item assignment"),
+    (lambda: setattr(SAMPLES.region, "values", (Region.B,)), FrozenInstanceError, "values"),
     (lambda: SAMPLES.distance_m.__setitem__(0, -1.0), ValueError, "read-only"),
     (lambda: SWEEP.powers_db.__setitem__(0, 1.0), ValueError, "read-only"),
-], ids=["samples-region-append", "samples-region-item", "samples-distance-item",
-        "sweep-power-item"])
+], ids=["samples-region-append", "samples-region-item", "samples-region-tag-item",
+        "samples-region-values", "samples-distance-item", "sweep-power-item"])
 def test_record_arrays_refuse_writes(write, error, message):
     with pytest.raises(error, match=message):
         write()
@@ -74,12 +77,16 @@ def test_float_columns_are_views_of_the_callers_arrays():
     pytest.param(list, id="list"),
 ])
 def test_tag_columns_are_read_only_copies(given):
-    regions = given([Region.A, Region.B, None])
-    samples = SampleSet(np.array([1.0, 2.0, 4.0]), np.array([80.0, 86.0, 92.0]), region=regions)
+    regions = given([Region.A, Region.B, None, Region.A])
+    samples = SampleSet(np.array([1.0, 2.0, 4.0, 8.0]), np.array([80.0, 86.0, 92.0, 98.0]),
+                        region=regions)
     column = samples.region
-    assert column.dtype == object and column.shape == (3,) and not column.flags.writeable
-    assert list(column) == [Region.A, Region.B, None]
+    assert isinstance(column, TagColumn) and len(column) == 4
+    assert column.codes.dtype == np.intp and not column.codes.flags.writeable
+    assert column.codes.tolist() == [0, 1, -1, 0] and column.values == (Region.A, Region.B)
+    assert list(column) == [Region.A, Region.B, None, Region.A]
+    assert [column[i] for i in range(4)] == [Region.A, Region.B, None, Region.A]
     if isinstance(regions, np.ndarray):
-        assert not np.shares_memory(column, regions)
         regions[0] = Region.C  # the caller's own array stays writable
     assert column[0] is Region.A
+    assert replace(samples, distance_m=samples.distance_m * 2).region is column
