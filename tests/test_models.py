@@ -370,6 +370,13 @@ class TestInputHelpers:
         assert [(name, list(column)) for name, column in tags.items()] == [
             ("b", [None, 3]), ("c", ["x", "y"])]
 
+    def test_csv_tag_columns_are_categorical(self):
+        # Each distinct cell is parsed once; cells that parse to one tag share its code.
+        text = "a,b\n1, 3\n2,\n3,3 \n4,03\n5,7\n"
+        _, tags = read_csv(text, "t.csv", "test", ("a",), no_checks, {"b": int})
+        assert tags["b"].codes.tolist() == [0, -1, 0, 0, 1] and tags["b"].values == (3, 7)
+        assert not tags["b"].codes.flags.writeable
+
     @pytest.mark.parametrize("text, expected", [
         ("", "t.csv: empty test file"),
         ("b,a\n", "t.csv:1: header must start with a"),
