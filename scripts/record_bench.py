@@ -10,9 +10,10 @@ both alike. The first N seeds (`--traced-seeds N`, default 1) also make one
 `--trace 1` pair per workload, alternating the same way. Each record keeps the
 last two stdout lines of a run: the meta line and the result line. The file's
 `summary` holds, per workload and per-layer metric of the traced pairs, each
-side's median and the median of the per-pair ratios change/parent: traced
+side's median, the per-pair ratios change/parent and their median: traced
 layer times are raw seconds, and a ratio within one pair cancels the host
-drift that a single absolute number carries. Per workload and end-to-end
+drift that a single absolute number carries. The list of ratios shows whether
+a layer target is resolved: a ±15% target is not when the ratios straddle it. Per workload and end-to-end
 metric, stderr gets each side's median and the number of pairs the change won,
 then the summary's time layers.
 """
@@ -35,11 +36,12 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
 
 
 def summarise(records: list[dict], layers: list[str]) -> dict:
-    """{workload: {layer: {"parent", "change", "change_over_parent", "pairs"}}} over
-    the traced records, paired by workload and seed: each side's median value,
-    and the median over pairs of change/parent. A layer that reads 0 in every
-    traced record of a workload is left out; a pair whose parent reads 0 gives
-    no ratio, and a layer with no ratio has change_over_parent None."""
+    """{workload: {layer: {"parent", "change", "change_over_parent", "ratios",
+    "pairs"}}} over the traced records, paired by workload and seed: each side's
+    median value, the median over pairs of change/parent, and those ratios in
+    seed order. A layer that reads 0 in every traced record of a workload is left
+    out; a pair whose parent reads 0 gives no ratio, and a layer with no ratio has
+    change_over_parent None."""
     pairs: dict[str, dict[int, dict[str, dict]]] = {}
     for r in records:
         if r["trace"] == 1:
@@ -49,8 +51,8 @@ def summarise(records: list[dict], layers: list[str]) -> dict:
     for workload, by_seed in pairs.items():
         summary[workload] = {}
         for name in layers:
-            values = [(p["parent"][name]["value"], p["change"][name]["value"])
-                      for p in by_seed.values()]
+            values = [(by_seed[seed]["parent"][name]["value"],
+                       by_seed[seed]["change"][name]["value"]) for seed in sorted(by_seed)]
             if not any(parent or change for parent, change in values):
                 continue
             ratios = [change / parent for parent, change in values if parent]
@@ -58,6 +60,7 @@ def summarise(records: list[dict], layers: list[str]) -> dict:
                 "parent": statistics.median(parent for parent, _ in values),
                 "change": statistics.median(change for _, change in values),
                 "change_over_parent": statistics.median(ratios) if ratios else None,
+                "ratios": ratios,
                 "pairs": len(values),
             }
     return summary

@@ -20,7 +20,9 @@ from .models import (
     Region,
     TagColumn,
     csv_text,
+    first_fault,
     float_cells,
+    float_column,
     model_to_dict,
     read_csv,
 )
@@ -44,11 +46,11 @@ SAMPLE_TAGS = {"seat": int, "region": Region, "height": HeightClass}
 @dataclass(frozen=True)
 class SampleSet:
     """(distance, path loss) pairs with optional seat/region/height tags: an immutable
-    record, validated when built. Every column is read-only: the float arrays are views
-    of those given, not copies, and each tag column is a categorical TagColumn (or
-    None): read-only intp codes, -1 where a tag is missing, into the tuple of its
-    distinct tags. A tag column may be given as a TagColumn or as any sequence of
-    tags, such as a list or an object array; column[i] is the tag of sample i.
+    record, validated by its rules when built. Every column is read-only: the float arrays
+    are copies of those given, and each tag column is a categorical TagColumn (or None):
+    read-only intp codes, -1 where a tag is missing, into the tuple of its distinct
+    tags. A tag column may be given as a TagColumn or as any sequence of tags, such as
+    a list or an object array; column[i] is the tag of sample i.
     dataclasses.replace builds an edited copy and validates it again."""
 
     distance_m: np.ndarray
@@ -58,15 +60,13 @@ class SampleSet:
     height: TagColumn | None = None
 
     def __post_init__(self) -> None:
-        for name in ("distance_m", "path_loss_db"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).view())
-            getattr(self, name).flags.writeable = False
+        object.__setattr__(self, "distance_m", float_column(self.distance_m))
+        object.__setattr__(self, "path_loss_db", float_column(self.path_loss_db))
         if self.distance_m.shape != self.path_loss_db.shape:
             raise ValueError("distance and path loss arrays must match in length")
-        if np.any(~np.isfinite(self.distance_m)) or np.any(self.distance_m <= 0):
-            raise ValueError("all distances must be finite and > 0")
-        if np.any(~np.isfinite(self.path_loss_db)):
-            raise ValueError("all path losses must be finite")
+        fault = first_fault(self.rules(self.distance_m, self.path_loss_db))
+        if fault:
+            raise ValueError(fault[1])
         for name in SAMPLE_TAGS:
             tags = getattr(self, name)
             if tags is None:
@@ -75,6 +75,12 @@ class SampleSet:
                 raise ValueError(f"{name} tags must match sample count")
             if not isinstance(tags, TagColumn):
                 object.__setattr__(self, name, TagColumn.of(tags))
+
+    @staticmethod
+    def rules(distance: np.ndarray, path_loss: np.ndarray) -> list[tuple[np.ndarray, str]]:
+        """(bad-row mask, message) of each rule of a sample."""
+        return [(~np.isfinite(distance) | (distance <= 0), "distance must be > 0"),
+                (~np.isfinite(path_loss), "path loss must be finite")]
 
     def __len__(self) -> int:
         return len(self.distance_m)
@@ -199,9 +205,8 @@ def _draw(model: PathLossModel, distances: Sequence[float], seed: int):
     """(distances, shadow-faded path losses) at the distances, reproducible per seed."""
     rng = np.random.default_rng(seed)
     d = np.asarray(distances, dtype=float)
-    if np.any(~np.isfinite(d)) or np.any(d <= 0):
-        raise ValueError("all distances must be finite and > 0")
-    means = model.alpha_db + 10.0 * model.beta * np.log10(d)
+    with np.errstate(divide="ignore", invalid="ignore"):  # SampleSet rejects d <= 0
+        means = model.alpha_db + 10.0 * model.beta * np.log10(d)
     return d, means + model.sigma_db * rng.standard_normal(len(d))
 
 
@@ -244,11 +249,7 @@ def samples_to_csv(samples: SampleSet) -> str:
 
 def samples_from_csv(text: str, source: str = "<string>") -> SampleSet:
     """Parse the sample CSV schema, naming the offending line on error."""
-    (d, pl), tags = read_csv(text, source, "sample", ("distance_m", "path_loss_db"), lambda d, pl: [
-        (~np.isfinite(d) | (d <= 0), "distance must be > 0"),
-        (~np.isfinite(pl), "path loss must be finite"),
-    ], SAMPLE_TAGS)
-    return SampleSet(d, pl, **tags)
+    return read_csv(text, source, "sample", ("distance_m", "path_loss_db"), SampleSet, SAMPLE_TAGS)
 
 
 def fit_result_to_dict(result: FitResult) -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -188,18 +188,6 @@ def default_layout() -> BusLayout:
     """
     path = resources.files(__package__) / "data" / "default_layout.json"
     return layout_from_dict(json.loads(path.read_text(encoding="utf-8")))
-
-
-def layout_to_dict(layout: BusLayout) -> dict:
-    return {
-        "length_m": layout.length_m,
-        "width_m": layout.width_m,
-        "rx": asdict(layout.rx),
-        "upper_height_m": layout.upper_height_m,
-        "lower_height_m": layout.lower_height_m,
-        "height_mode": layout.height_mode,
-        "seats": [{**asdict(seat), "group": seat.group.value} for seat in layout.seats],
-    }
 
 
 def _group(value) -> Region:

@@ -216,15 +216,6 @@ def _means_and_sigmas(links) -> tuple[np.ndarray, np.ndarray]:
             np.array([model.sigma_db for _, model, _, _ in links]))
 
 
-def _shadowed_path_loss(links, seed: int, n_draws: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Path loss for n_draws draws of every link of _seat_links: each link's mean
-    plus sigma times the _standard_normals block, as (start, block) pairs, with
-    n_draws checked when this is called."""
-    blocks = _standard_normals(seed, n_draws, len(links))
-    means, sigmas = _means_and_sigmas(links)
-    return ((start, means + sigmas * z) for start, z in blocks)
-
-
 def _row_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(mean, median, 5th percentile) of each row, bit for bit np.mean, np.median
     and np.percentile(rows, 5.0, axis=1), whose default 'linear' method is
@@ -288,12 +279,13 @@ def interference_footprint(
     for i, seat_id in enumerate(active_seats):
         if seat_id in active_seats[:i]:
             raise ValueError(f"seat {seat_id} is listed more than once")
-    blocks = _shadowed_path_loss(
-        _seat_links(layout, models, height, active_seats, use_all_model), seed, n_draws)
+    links = _seat_links(layout, models, height, active_seats, use_all_model)
+    blocks = _standard_normals(seed, n_draws, len(links))
+    means, sigmas = _means_and_sigmas(links)
     noise_mw = 10.0 ** (noise_floor_dbm(config) / 10.0)
     sinr_db = np.empty((len(active_seats), n_draws))
-    for start, pl_db in blocks:
-        rx_mw = 10.0 ** (rx_power_dbm(config, pl_db) / 10.0)
+    for start, z in blocks:
+        rx_mw = 10.0 ** (rx_power_dbm(config, means + sigmas * z) / 10.0)
         total_mw = rx_mw.sum(axis=1, keepdims=True)
         block_sinr = 10.0 * np.log10(rx_mw / (noise_mw + total_mw - rx_mw))
         sinr_db[:, start:start + len(block_sinr)] = block_sinr.T

@@ -8,13 +8,14 @@ verify_registry checks the pooled sets against the paper's rounded
 coefficients, and path_loss_band gives the 5-95% shadowing band. The shared
 I/O helpers live here too: read_text, load_json_object, float_record and
 check_fields (the one unknown-key check) for input files, csv_text and
-float_cells for CSV output, and read_csv, its inverse, which both CSV readers
-call once with their row rules and which gives each tag column as a TagColumn.
+float_cells for CSV output, and read_csv, its inverse, which builds a record
+and names the line of the first row the record's rules reject (first_fault).
 """
 
 from __future__ import annotations
 
 import collections.abc
+import contextlib
 import functools
 import io
 import json
@@ -378,6 +379,20 @@ class TagColumn(collections.abc.Sequence):
         return iter(self.take([*self.values, None]))
 
 
+def float_column(values) -> np.ndarray:
+    """A record's float column: a read-only float64 copy of values, which no caller holds."""
+    column = np.array(values, dtype=float)
+    column.flags.writeable = False
+    return column
+
+
+def first_fault(rules) -> tuple[int, str] | None:
+    """(row, message) of the first row that one of the (bad-row mask, message)
+    rules rejects, the rule listed first on a row two reject; None if none does."""
+    faults = [(int(np.argmax(mask)), message) for mask, message in rules if mask.any()]
+    return min(faults, key=lambda fault: fault[0], default=None)
+
+
 # Rows read_csv converts at a time. A block's cell lists live only while
 # it is converted, so they stay a small share of the text's memory; parsing a
 # 2e5-row sample file in one block took 65% more peak memory.
@@ -426,23 +441,24 @@ def _loadtxt_columns(body: str, width: int) -> list[np.ndarray] | None:
     return list(table.T) if table.shape[1] == width else None
 
 
-def read_csv(text: str, source, kind: str, columns: Sequence[str], checks,
+def read_csv(text: str, source, kind: str, columns: Sequence[str], record,
              tags: Mapping[str, Callable] = {}, error=ValueError):
-    """The inverse of csv_text: float arrays of the columns, and for each tag
-    column in the header, a TagColumn of its tags.
+    """The inverse of csv_text: record(*float arrays of the columns, **a TagColumn
+    for each tag column in the header).
 
     Lines split at line feeds (a carriage return is whitespace), cells at
     commas, nothing quoted; rows all whitespace and commas are skipped. The
     header is columns, then names of tags at most once each. A tag cell is
     parsed by tags[name] once per distinct cell into the code of its tag, and a
     blank one is missing (code -1).
-    checks(*arrays) gives (mask over the rows, message) pairs. The first bad
-    row raises error naming its line, with its first fault in the order: the
-    wrong width, a cell float() rejects, each check, a tag its parser rejects.
-    A body with no tag column, only the bytes of _NUMERIC_BYTES and no fault goes
-    through one np.loadtxt call, which gives the same arrays. Every other body, and
-    every fault, takes the block path: rows are framed and converted CSV_BLOCK_ROWS
-    at a time by C-level string operations, with no Python step per row or cell."""
+    The record checks its rows when built; record.rules(*arrays) gives its (bad-row
+    mask, message) pairs. The first bad row raises error naming its line (only the
+    source for a fault of no row), with its first fault in the order: the wrong width,
+    a cell float() rejects, each rule, a tag its parser rejects. A body with no tag
+    column and only the bytes of _NUMERIC_BYTES is built from one np.loadtxt call.
+    Every other body, and every fault, takes the block path: rows are framed and
+    converted CSV_BLOCK_ROWS at a time by C-level string operations, with no Python
+    step per row or cell."""
     if not text:
         raise error(f"{source}: empty {kind} file")
     head = text.partition("\n")[0]
@@ -457,8 +473,9 @@ def read_csv(text: str, source, kind: str, columns: Sequence[str], checks,
     width, names = len(header), header[len(columns):]
     if not names:  # sliced only here: a body held through the block path doubles the text
         arrays = _loadtxt_columns(text[len(head) + 1:], width)
-        if arrays is not None and not any(mask.any() for mask, _ in checks(*arrays)):
-            return arrays, {}
+        if arrays is not None:
+            with contextlib.suppress(ValueError):  # the block path names the faulting line
+                return record(*arrays)
     lines = text.split("\n")
     arrays, done = [np.empty(len(lines) - 1) for _ in columns], 0
     found = {name: np.empty(len(lines) - 1, np.intp) for name in names}
@@ -494,17 +511,21 @@ def read_csv(text: str, source, kind: str, columns: Sequence[str], checks,
         if stop:
             break
     arrays = [array[:done] for array in arrays]
-    found = {name: column[:done] for name, column in found.items()}
-    faults = [(int(np.argmax(mask)), message) for mask, message in checks(*arrays) if mask.any()]
-    faults += [(int(np.argmax(found[name] == _BAD_TAG)), "bad tag value")
+    found = {name: TagColumn(column[:done], distinct[name]) for name, column in found.items()}
+    # The stop is first, to win a tie with a fault of no row; no other fault is at its row.
+    faults = [(done, stop)] if stop else []
+    try:
+        built = record(*arrays, **found)
+    except ValueError:
+        faults.append(first_fault(record.rules(*arrays)))
+    faults += [(int(np.argmax(found[name].codes == _BAD_TAG)), "bad tag value")
                for name in names if _BAD_TAG in tables[name].values()]
-    if stop:
-        faults.append((len(arrays[0]), stop))
     if faults:
         row, message = min(faults, key=lambda fault: fault[0])
         kept = compress(count(2), map(str.strip, islice(lines, 1, None), repeat(_BLANK_CHARS)))
-        raise error(f"{source}:{next(islice(kept, row, None))}: {message}")
-    return arrays, {name: TagColumn(found[name], distinct[name]) for name in names}
+        line = next(islice(kept, row, None), None)
+        raise error(f"{source}: {message}" if line is None else f"{source}:{line}: {message}")
+    return built
 
 
 def model_from_dict(obj: dict) -> PathLossModel:

@@ -1,6 +1,7 @@
 """Power delay profile reduction: from sounder sweeps to (distance, path loss).
 
-Each sweep is a PDP (delay bins with power in dB). Received power is the
+Each sweep is a PdpRecord, a PDP (delay bins with power in dB) checked by the
+one list of rules whose faults load_pdp_csv names by line. Received power is the
 linear-domain sum of the bins within a peak-relative noise window; path loss
 follows from the radiated power and the antenna gains. Repeated sweeps per
 seat are averaged in the linear power domain, and the transmitter distance is
@@ -25,7 +26,9 @@ from .models import (
     HeightClass,
     PathLossModel,
     csv_text,
+    first_fault,
     float_cells,
+    float_column,
     int_field,
     load_json_object,
     read_csv,
@@ -45,25 +48,28 @@ class PdpFormatError(ValueError):
 
 @dataclass(frozen=True)
 class PdpRecord:
-    """One sweep: delay bins (ns) with powers (dB), an immutable record validated
-    when built; its arrays are read-only views of those given, not copies. Its seat
+    """One sweep: delay bins (ns) with powers (dB), an immutable record validated by
+    its rules when built; its arrays are read-only copies of those given. Its seat
     and height are those of the MeasurementSet that holds it."""
 
     delays_ns: np.ndarray
     powers_db: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("delays_ns", "powers_db"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float).view())
-            getattr(self, name).flags.writeable = False
+        object.__setattr__(self, "delays_ns", float_column(self.delays_ns))
+        object.__setattr__(self, "powers_db", float_column(self.powers_db))
         if self.delays_ns.shape != self.powers_db.shape:
             raise ValueError("delay and power arrays must match in length")
-        if np.any(~np.isfinite(self.delays_ns)):
-            raise ValueError("all delays must be finite")
-        if self.delays_ns.size and np.any(np.diff(self.delays_ns) <= 0):
-            raise ValueError("delays must be strictly increasing")
-        if np.any(~np.isfinite(self.powers_db)):
-            raise ValueError("all powers must be finite")
+        fault = first_fault(self.rules(self.delays_ns, self.powers_db))
+        if fault:
+            raise ValueError(fault[1])
+
+    @staticmethod
+    def rules(delays: np.ndarray, powers: np.ndarray) -> list[tuple[np.ndarray, str]]:
+        """(bad-row mask, message) of each rule of a sweep; one of no bin is bad at row 0."""
+        return [(np.array([delays.size == 0]), "no delay bins"),
+                (~(np.isfinite(delays) & np.isfinite(powers)), "values must be finite"),
+                (delays <= np.append(-np.inf, delays[:-1]), "delays must strictly increase")]
 
     def __len__(self) -> int:
         return len(self.delays_ns)
@@ -107,8 +113,6 @@ class LinkCalibration:
 def integrate_pdp(pdp: PdpRecord, threshold_db: float = DEFAULT_NOISE_THRESHOLD_DB) -> float:
     """Total received power in dB over the bins within threshold_db of the peak;
     -inf or inf when the linear total is outside the range of a float."""
-    if len(pdp) == 0:
-        raise ValueError("cannot integrate an empty PDP")
     peak = float(np.max(pdp.powers_db))
     kept = pdp.powers_db[pdp.powers_db >= peak - threshold_db]
     with np.errstate(over="ignore"):
@@ -123,8 +127,6 @@ def path_loss_from_power(cal: LinkCalibration, p_rx_db: float) -> float:
 
 def peak_component(pdp: PdpRecord) -> tuple[float, float]:
     """(delay_ns, power_db) of the strongest bin; earliest wins a tie."""
-    if len(pdp) == 0:
-        raise ValueError("empty PDP has no peak")
     i = int(np.argmax(pdp.powers_db))  # argmax returns the first maximum
     return float(pdp.delays_ns[i]), float(pdp.powers_db[i])
 
@@ -214,14 +216,8 @@ def pdp_to_csv(pdp: PdpRecord) -> str:
 
 def load_pdp_csv(path: str | Path) -> PdpRecord:
     """Parse one sweep file, reporting the offending line on error."""
-    text = read_text(path, "PDP", PdpFormatError)
-    (delay, power), _ = read_csv(text, path, "PDP", PDP_CSV_HEADER, lambda delay, power: [
-        (~(np.isfinite(delay) & np.isfinite(power)), "values must be finite"),
-        (delay <= np.append(-np.inf, delay[:-1]), "delays must strictly increase"),
-    ], error=PdpFormatError)
-    if not len(delay):
-        raise PdpFormatError(f"{path}: no delay bins")
-    return PdpRecord(delay, power)
+    return read_csv(read_text(path, "PDP", PdpFormatError), path, "PDP", PDP_CSV_HEADER,
+                    PdpRecord, error=PdpFormatError)
 
 
 _SET_DIR_RE = re.compile(r"^(\d+)_(lower|upper)$")

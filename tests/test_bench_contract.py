@@ -6,6 +6,7 @@ instead of breaking `perfbench/run.py --trace 1`."""
 import importlib.util
 import json
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -36,7 +37,8 @@ def test_every_target_exists(spans):
 
 def test_every_layer_is_traced_and_counted(spans, tmp_path):
     layout_path = tmp_path / "layout.json"
-    layout_path.write_text(json.dumps(geometry.layout_to_dict(geometry.default_layout())))
+    layout_path.write_text(
+        (resources.files("busloss") / "data" / "default_layout.json").read_text(encoding="utf-8"))
     cal = tmp_path / "cal.json"
     cal.write_text('{"radiated_power_db": 0.0}')
     pdp_dir, samples_csv = tmp_path / "pdp", tmp_path / "samples.csv"

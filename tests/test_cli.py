@@ -2,17 +2,24 @@
 
 import hashlib
 import json
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from busloss.cli import _json_table, build_parser, main
-from busloss.geometry import default_layout, layout_to_dict
 from busloss.models import HeightClass, Region, builtin_model, model_to_dict
 
 
+SHIPPED_LAYOUT = resources.files("busloss") / "data" / "default_layout.json"
 OTHER_MODEL = {"alpha_db": 78.86, "beta": 2.03, "sigma_db": 2.0, "region": None, "height": None}
+
+
+def shipped_layout() -> dict:
+    """A fresh copy of the JSON object of the shipped layout file."""
+    return json.loads(SHIPPED_LAYOUT.read_text(encoding="utf-8"))
+
 
 # SHA-256 of the stdout of commands that draw no random numbers. Output bytes
 # are part of the contract, so a refactor must leave every digest unchanged.
@@ -208,7 +215,7 @@ class TestJsonInputs:
         (["sweep", "--height", "upper", "--config", "{f}"], {}, ["tx_power_dbm"]),
         (["process", "{d}", "{f}"], {}, ["radiated_power_db"]),
         (["eval", "--model", "{f}", "--distances", "1:2:1"], OTHER_MODEL, ["beta"]),
-        (["sweep", "--height", "upper", "--layout", "{f}"], layout_to_dict(default_layout()),
+        (["sweep", "--height", "upper", "--layout", "{f}"], shipped_layout(),
          ["seats", 3, "x"]),
     ], ids=["budget", "calibration", "model", "layout"])
     def test_bool_or_text_number_exit_2(self, capsys, tmp_path, argv, base, where, value):
@@ -233,7 +240,7 @@ class TestJsonInputs:
     ])
     def test_layout_seat_field_exit_2(self, capsys, tmp_path, field, value, message):
         path = tmp_path / "layout.json"
-        obj = layout_to_dict(default_layout())
+        obj = shipped_layout()
         obj["seats"][0][field] = value
         path.write_text(json.dumps(obj))
         code, out, err = run(capsys, "sweep", "--height", "lower", "--layout", str(path))
@@ -256,7 +263,7 @@ class TestJsonInputs:
     def test_layout_unknown_field_or_no_seats_exit_2(self, capsys, tmp_path, edit, message):
         # Seat 5 has no lower position, so the misspelt flag would list it.
         path = tmp_path / "layout.json"
-        obj = layout_to_dict(default_layout())
+        obj = shipped_layout()
         edit(obj)
         path.write_text(json.dumps(obj))
         code, out, err = run(capsys, "sweep", "--height", "lower", "--layout", str(path))
@@ -265,7 +272,7 @@ class TestJsonInputs:
 
     def test_layout_text_number_names_file_and_field(self, capsys, tmp_path):
         path = tmp_path / "layout.json"
-        obj = layout_to_dict(default_layout())
+        obj = shipped_layout()
         obj["seats"][3]["x"] = "a"
         path.write_text(json.dumps(obj))
         code, out, err = run(capsys, "sweep", "--height", "upper", "--layout", str(path))
@@ -393,7 +400,7 @@ class TestProcessPipeline:
         root = write_set(tmp_path / "pdp", [["13.5,-90"]])
         write_set(root, [["13.5,-90"]], seat=99)
         layout = tmp_path / "layout.json"
-        layout.write_text(json.dumps(layout_to_dict(default_layout())))
+        layout.write_text(json.dumps(shipped_layout()))
         code, out, err = run(capsys, "process", str(root), str(cal), "--layout", str(layout))
         assert (code, out) == (4, "")
         assert err == f"error: {layout}: 99_upper: no seat with id 99\n"

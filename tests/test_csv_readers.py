@@ -9,6 +9,8 @@ row by row: what each returns, and which `file:line` message each raises.
   moved past the inserted rows.
 - A second property reads numeric texts with `read_csv`'s one-call loadtxt
   path on and forced off, and expects bit-identical arrays or the same message.
+- Each row rule of `PdpRecord` and `SampleSet` is stated once, in the record:
+  the reader's message for a bad row is the record's own after `path:line: `.
 
 `python tests/test_csv_readers.py` rewrites the corpus with the busloss on the
 import path. Do that only for a change that means to alter what the readers
@@ -29,9 +31,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from busloss import models
-from busloss.fit import SAMPLE_TAGS, samples_from_csv
+from busloss.fit import SAMPLE_TAGS, SampleSet, samples_from_csv
 from busloss.models import HeightClass, Region, TagColumn
-from busloss.pdp import PdpFormatError, load_pdp_csv
+from busloss.pdp import PdpFormatError, PdpRecord, load_pdp_csv
 
 CORPUS = Path(__file__).with_name("golden") / "csv_readers.json"
 
@@ -268,14 +270,44 @@ def test_clean_files_skip_the_block_path(tmp_path, monkeypatch):
     def block_path(cells):
         raise AssertionError("the block path ran")
 
+    checked = []
+    rules = PdpRecord.rules
     monkeypatch.setattr(models, "_leading_floats", block_path)
+    monkeypatch.setattr(PdpRecord, "rules",
+                        staticmethod(lambda *columns: checked.append(columns) or rules(*columns)))
     sweep = read("pdp", P + "\n" + bins(0, 3000), tmp_path)
     assert sweep["delays_ns"].tolist() == [float(k) for k in range(3000)]
+    assert len(checked) == 1  # the rules ran once, in PdpRecord
     samples = read("sample", S + "\n1.5,85\n2e1,9.05E1\n", tmp_path)
     assert samples["path_loss_db"].tolist() == [85.0, 90.5]
     assert read("pdp", P + "\n\n1,-80\n\n2,-81\n", tmp_path)["powers_db"].tolist() == [-80, -81]
     with pytest.raises(AssertionError, match="the block path ran"):  # a comma-only row
         read("pdp", P + "\n1,-80\n,\n2,-81\n", tmp_path)
+
+
+# For each record, a text per rule that only that rule rejects, in the order of
+# the record's rules.
+RULE_TEXTS = {"pdp": [P + "\n", P + "\n1,-80\n2,nan\n", P + "\n2,-80\n1,-81\n"],
+              "sample": [S + "\n1,85\n0,85\n", S + "\n1,85\n2,inf\n"]}
+RECORDS = {"pdp": PdpRecord, "sample": SampleSet}
+WHERE = re.compile(r"^(\{path\}|x\.csv)(:\d+)?: ")
+
+
+@pytest.mark.parametrize("reader, rule", [
+    pytest.param(reader, i, id=f"{reader}-{i}")
+    for reader, texts in RULE_TEXTS.items() for i in range(len(texts))])
+def test_reader_gives_the_records_message(tmp_path, reader, rule):
+    text, record = RULE_TEXTS[reader][rule], RECORDS[reader]
+    columns = np.array([[float(cell) for cell in line.split(",")]
+                        for line in text.split("\n")[1:] if line]).reshape(-1, 2).T
+    rules = record.rules(*columns)
+    assert len(rules) == len(RULE_TEXTS[reader])
+    assert [bool(mask.any()) for mask, _ in rules] == [i == rule for i in range(len(rules))]
+    with pytest.raises(ValueError) as exc:
+        record(*columns)
+    assert str(exc.value) == rules[rule][1]
+    kind, message = read(reader, text, tmp_path)
+    assert kind == "error" and WHERE.sub("", message) == str(exc.value), message
 
 
 # The corpus generator: texts that are mostly well formed, with a few bad

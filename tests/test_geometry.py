@@ -16,7 +16,6 @@ from busloss.geometry import (
     SeatSpec,
     default_layout,
     layout_from_dict,
-    layout_to_dict,
     link_distance,
     load_layout,
     seat_links,
@@ -24,6 +23,13 @@ from busloss.geometry import (
     tx_position,
 )
 from busloss.models import HeightClass, Region
+
+SHIPPED_LAYOUT = resources.files("busloss") / "data" / "default_layout.json"
+
+
+def shipped_layout() -> dict:
+    """A fresh copy of the JSON object of the shipped layout file."""
+    return json.loads(SHIPPED_LAYOUT.read_text(encoding="utf-8"))
 
 
 class TestDefaultLayout:
@@ -62,9 +68,7 @@ class TestDefaultLayout:
         assert default_layout() is first
         assert isinstance(first.seats, tuple) and len(first.seats) == 30
         assert first.height_mode == "floor"
-        shipped = resources.files("busloss") / "data" / "default_layout.json"
-        assert layout_to_dict(first) == layout_to_dict(
-            layout_from_dict(json.loads(shipped.read_text(encoding="utf-8"))))
+        assert first == layout_from_dict(shipped_layout())
 
     def test_eligible_counts(self):
         layout = default_layout()
@@ -229,9 +233,8 @@ class TestLayoutIo:
     def test_json_round_trip(self, tmp_path):
         layout = default_layout()
         path = tmp_path / "layout.json"
-        path.write_text(json.dumps(layout_to_dict(layout)), encoding="utf-8")
-        back = load_layout(path)
-        assert layout_to_dict(back) == layout_to_dict(layout)
+        path.write_text(json.dumps(shipped_layout()), encoding="utf-8")
+        assert load_layout(path) == layout
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -257,7 +260,7 @@ class TestLayoutIo:
         ("top", "upper_height_m", "high"),
     ])
     def test_bad_number_names_file_and_field(self, tmp_path, where, field, value):
-        obj = layout_to_dict(default_layout())
+        obj = shipped_layout()
         target = {"seat": obj["seats"][0], "rx": obj["rx"], "top": obj}[where]
         target[field] = value
         path = tmp_path / "layout.json"
@@ -271,14 +274,14 @@ class TestLayoutIo:
         ("lower_height_m", -0.1),
     ])
     def test_extent_out_of_range_rejected(self, field, value):
-        obj = layout_to_dict(default_layout())
+        obj = shipped_layout()
         obj[field] = value
         with pytest.raises(LayoutError, match=field.split("_")[0]):
             layout_from_dict(obj)
 
     def test_huge_receiver_height_rejected(self):
         # rx z is not bounded by the footprint; squaring 1e300 would overflow
-        obj = layout_to_dict(default_layout())
+        obj = shipped_layout()
         obj["rx"]["z"] = 1e300
         with pytest.raises(LayoutError, match="rx z"):
             layout_from_dict(obj)

@@ -17,12 +17,12 @@ import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from busloss.cli import main
-from busloss.geometry import default_layout, layout_to_dict
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -30,7 +30,8 @@ INPUTS = {
     "cal.json": {"radiated_power_db": 20.0, "g_tx_dbi": 3.0},
     "budget.json": {"tx_power_dbm": 12.0, "snr_threshold_db": 3.0},
     "other.json": {"alpha_db": 78.86, "beta": 2.03, "sigma_db": 2.0},
-    "layout.json": layout_to_dict(default_layout()),
+    "layout.json": json.loads(
+        (resources.files("busloss") / "data" / "default_layout.json").read_text(encoding="utf-8")),
 }
 
 CASES = {

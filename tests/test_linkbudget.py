@@ -25,8 +25,7 @@ from busloss.linkbudget import (
     LinkBudgetConfig,
     _pass_thresholds,
     _row_stats,
-    _seat_links,
-    _shadowed_path_loss,
+    _standard_normals,
     empirical_coverage,
     interference_footprint,
     link_snr,
@@ -351,17 +350,18 @@ class TestDrawBlocks:
     def test_blocks_match_one_draw(self, rows, n_draws, seed, active, height, tx_power_dbm):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("busloss.linkbudget._DRAW_CHUNK_ROWS", rows)
-            blocks = list(_shadowed_path_loss(
-                _seat_links(LAYOUT, REGISTRY, HeightClass.UPPER, active, False), seed, n_draws))
+            blocks = list(_standard_normals(seed, n_draws, len(active)))
             footprint = interference_footprint(
                 LAYOUT, REGISTRY, CONFIG, active, HeightClass.UPPER, seed, n_draws)
             config = LinkBudgetConfig(tx_power_dbm=tx_power_dbm)
             coverage = empirical_coverage(LAYOUT, REGISTRY, config, height, seed, n_draws)
 
-        pl = one_shot_path_loss(active, HeightClass.UPPER, seed, n_draws)
+        z = np.random.default_rng(seed).standard_normal((n_draws, len(active)))
         assert [start for start, _ in blocks] == list(range(0, n_draws, rows))
         assert all(len(block) <= rows for _, block in blocks)
-        assert np.array_equal(np.concatenate([block for _, block in blocks]), pl)
+        assert np.array_equal(np.concatenate([block for _, block in blocks]), z)
+
+        pl = one_shot_path_loss(active, HeightClass.UPPER, seed, n_draws)
 
         rx_mw = 10.0 ** (rx_power_dbm(CONFIG, pl) / 10.0)
         noise_mw = 10.0 ** (noise_floor_dbm(CONFIG) / 10.0)

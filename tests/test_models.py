@@ -19,6 +19,7 @@ from busloss.models import (
     compare_models,
     coverage_probability,
     csv_text,
+    first_fault,
     float_field,
     float_record,
     from_combined_form,
@@ -41,8 +42,24 @@ ALL_LOWER = builtin_model(Region.ALL, HeightClass.LOWER)
 ALL_UPPER = builtin_model(Region.ALL, HeightClass.UPPER)
 
 
-def no_checks(*arrays):
-    return []
+class Rows:
+    """A record type for read_csv: the float columns as .arrays and the tag columns
+    as .tags, checked when built by its rules, which pass every row."""
+
+    @staticmethod
+    def rules(*arrays):
+        return []
+
+    def __init__(self, *arrays, **tags):
+        self.arrays, self.tags = list(arrays), tags
+        fault = first_fault(self.rules(*arrays))
+        if fault:
+            raise ValueError(fault[1])
+
+
+def checked(rules):
+    """The Rows type whose rules(*arrays) gives rules' (bad-row mask, message) pairs."""
+    return type("Checked", (Rows,), {"rules": staticmethod(rules)})
 
 
 class TestMeanPathLoss:
@@ -365,15 +382,15 @@ class TestInputHelpers:
     # float() conversion and test_raise_first_bad_row the order of its faults.
     def test_csv_rows_inverts_csv_text(self):
         text = csv_text(("a", "b", "c"), [("1", "", "x"), (" ", " ", ""), ("2", "3", "y")])
-        arrays, tags = read_csv(text, "t.csv", "test", ("a",), no_checks, {"c": str, "b": int})
-        assert [a.tolist() for a in arrays] == [[1.0, 2.0]]
-        assert [(name, list(column)) for name, column in tags.items()] == [
+        rows = read_csv(text, "t.csv", "test", ("a",), Rows, {"c": str, "b": int})
+        assert [a.tolist() for a in rows.arrays] == [[1.0, 2.0]]
+        assert [(name, list(column)) for name, column in rows.tags.items()] == [
             ("b", [None, 3]), ("c", ["x", "y"])]
 
     def test_csv_tag_columns_are_categorical(self):
         # Each distinct cell is parsed once; cells that parse to one tag share its code.
         text = "a,b\n1, 3\n2,\n3,3 \n4,03\n5,7\n"
-        _, tags = read_csv(text, "t.csv", "test", ("a",), no_checks, {"b": int})
+        tags = read_csv(text, "t.csv", "test", ("a",), Rows, {"b": int}).tags
         assert tags["b"].codes.tolist() == [0, -1, 0, 0, 1] and tags["b"].values == (3, 7)
         assert not tags["b"].codes.flags.writeable
 
@@ -385,32 +402,32 @@ class TestInputHelpers:
     ])
     def test_csv_rows_header_errors(self, text, expected):
         with pytest.raises(ValueError, match=f"^{expected}$"):
-            read_csv(text, "t.csv", "test", ("a",), no_checks, {"b": str})
+            read_csv(text, "t.csv", "test", ("a",), Rows, {"b": str})
 
     def test_csv_rows_is_lazy(self):
         # The rows before a wrong-width row are read and checked first.
         text = "a,b\r\n1,2\r\n1,2,3\n"
         with pytest.raises(ValueError, match="^t.csv:3: expected 2 columns$"):
-            read_csv(text, "t.csv", "test", ("a", "b"), no_checks)
+            read_csv(text, "t.csv", "test", ("a", "b"), Rows)
         with pytest.raises(ValueError, match="^t.csv:2: b is 2$"):
-            read_csv(text, "t.csv", "test", ("a", "b"), lambda a, b: [(b == 2, "b is 2")])
+            read_csv(text, "t.csv", "test", ("a", "b"), checked(lambda a, b: [(b == 2, "b is 2")]))
 
     def test_csv_columns_blocks_count_skipped_rows(self, monkeypatch):
         monkeypatch.setattr("busloss.models.CSV_BLOCK_ROWS", 3)
         text = "a,b\n1,2\n\n3,4\n5,6\n , \n7,8\n"
-        arrays, _ = read_csv(text, "t.csv", "test", ("a", "b"), no_checks)
+        arrays = read_csv(text, "t.csv", "test", ("a", "b"), Rows).arrays
         assert [a.tolist() for a in arrays] == [[1, 3, 5, 7], [2, 4, 6, 8]]
         for value, line in [(1, 2), (3, 4), (5, 5), (7, 7)]:
-            def checks(a, b):
+            def rules(a, b):
                 return [(a == value, f"a is {value}")]
 
             with pytest.raises(ValueError, match=f"^t.csv:{line}: a is {value}$"):
-                read_csv(text, "t.csv", "test", ("a", "b"), checks)
+                read_csv(text, "t.csv", "test", ("a", "b"), checked(rules))
         for row, bad, message in [("7,8", "7,x", "7: non-numeric value"),
                                   ("7,8", "7,8,9", "7: expected 2 columns"),
                                   ("5,6", "5,6,", "5: expected 2 columns")]:
             with pytest.raises(ValueError, match=f"^t.csv:{message}$"):
-                read_csv(text.replace(row, bad), "t.csv", "test", ("a", "b"), no_checks)
+                read_csv(text.replace(row, bad), "t.csv", "test", ("a", "b"), Rows)
         assert CSV_BLOCK_ROWS == 8192
 
     def test_csv_columns_blank_chars_are_str_whitespace(self):
@@ -431,7 +448,8 @@ class TestInputHelpers:
         text = csv_text(names, [("0", *row) for row in zip(*columns)])
         seen = []
         try:
-            read_csv(text, "t.csv", "test", names, lambda *arrays: seen.extend(arrays) or [])
+            read_csv(text, "t.csv", "test", names,
+                     checked(lambda *arrays: seen.extend(arrays) or []))
         except ValueError as exc:
             assert rows < len(columns[0])
             assert str(exc) == f"t.csv:{rows + 2}: non-numeric value"
@@ -454,15 +472,30 @@ class TestInputHelpers:
         cells = ["x" if i == parsed else "1" for i in range(3)]
         text = "a\n{}\n\n\n{}\n\n\n\n{}\n".format(*cells)
 
-        def checks(a):
+        def rules(a):
             assert len(a) == parsed
             return [(np.array(m, dtype=bool), msg) for m, msg in zip(masks, ["first", "second"])]
 
         if expected is None:
-            read_csv(text, "t.csv", "test", ("a",), checks)
+            read_csv(text, "t.csv", "test", ("a",), checked(rules))
             return
         with pytest.raises(ValueError, match=f"^{expected}$"):
-            read_csv(text, "t.csv", "test", ("a",), checks)
+            read_csv(text, "t.csv", "test", ("a",), checked(rules))
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a\n\n , \n", "t.csv: no rows"),
+        ("a\n\nx\n", "t.csv:3: non-numeric value"),
+        ("a\n1\n", None),
+    ])
+    def test_fault_of_no_row_names_only_the_source(self, text, expected):
+        # A rule bad at row 0 of no row: the reader names the file; a row that
+        # stops the reading first is named by its own fault.
+        record = checked(lambda a: [(np.array([a.size == 0]), "no rows")])
+        if expected is None:
+            assert read_csv(text, "t.csv", "test", ("a",), record).arrays[0].tolist() == [1.0]
+            return
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            read_csv(text, "t.csv", "test", ("a",), record)
 
     def test_read_text_names_file(self, tmp_path):
         path = tmp_path / "s.csv"

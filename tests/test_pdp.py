@@ -47,8 +47,8 @@ class TestIntegratePdp:
         assert integrate_pdp(make_pdp([10, 20], [-100, -140]), 25.0) == pytest.approx(-100.0)
 
     def test_empty_pdp_rejected(self):
-        with pytest.raises(ValueError):
-            integrate_pdp(make_pdp([], []))
+        with pytest.raises(ValueError, match="^no delay bins$"):
+            make_pdp([], [])
 
     def test_bounded_by_peak_plus_bin_count(self):
         rng = np.random.default_rng(4)
@@ -93,8 +93,8 @@ class TestPeakComponent:
         assert peak_component(make_pdp([5.0], [-120.0])) == (5.0, -120.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            peak_component(make_pdp([], []))
+        with pytest.raises(ValueError, match="^no delay bins$"):
+            make_pdp([], [])
 
 
 class TestDelayToDistance:
@@ -193,7 +193,7 @@ class TestPdpValidation:
     # A NaN step passes the strictly-increasing check, so finiteness is checked first.
     @pytest.mark.parametrize("delays", [[np.nan, 1.0], [1.0, np.inf]])
     def test_non_finite_delay_rejected(self, delays):
-        with pytest.raises(ValueError, match="all delays must be finite"):
+        with pytest.raises(ValueError, match="^values must be finite$"):
             make_pdp(delays, [0.0, 0.0])
 
 

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import shutil
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 
 from busloss.cli import main
 from busloss.fit import SampleSet, samples_from_csv, samples_to_csv
-from busloss.geometry import default_layout, layout_to_dict
 from busloss.models import HeightClass, Region
 from busloss.pdp import (
     MeasurementSet,
@@ -53,7 +53,8 @@ def objects_with(names):
     return st.fixed_dictionaries({}, optional={name: field_values for name in names})
 
 
-SHIPPED_LAYOUT = layout_to_dict(default_layout())
+SHIPPED_LAYOUT = json.loads(
+    (resources.files("busloss") / "data" / "default_layout.json").read_text(encoding="utf-8"))
 
 
 @st.composite

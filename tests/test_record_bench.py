@@ -31,16 +31,29 @@ def test_summary_of_traced_pairs():
     summary = record_bench.summarise(records, ["a", "b", "c"])
     # a: parent 2, 4, 8 and change 1, 3, 1; ratios 0.5, 0.75, 0.125 (mean 0.458).
     assert summary["w"]["a"] == {"parent": 4.0, "change": 1.0, "change_over_parent": 0.5,
-                                 "pairs": 3}
+                                 "ratios": [0.5, 0.75, 0.125], "pairs": 3}
     # b: only seed 3's parent is nonzero, so one ratio, 2.0.
     assert summary["w"]["b"] == {"parent": 0.0, "change": 0.5, "change_over_parent": 2.0,
-                                 "pairs": 3}
+                                 "ratios": [2.0], "pairs": 3}
     assert "c" not in summary["w"]
 
 
 def test_no_ratio_when_every_parent_reads_zero():
     records = [record("parent", 1, 1, a=0.0), record("change", 1, 1, a=1.0)]
-    assert record_bench.summarise(records, ["a"])["w"]["a"]["change_over_parent"] is None
+    layer = record_bench.summarise(records, ["a"])["w"]["a"]
+    assert (layer["change_over_parent"], layer["ratios"]) == (None, [])
+
+
+def test_ratios_show_an_unresolved_target():
+    # The median ratio alone, 0.9, does not show that the pairs straddle a 0.85x
+    # target; the ratios 0.6, 0.9 and 1.2 do.
+    records = [record(side, seed, 1, a=value) for seed, parent, change in
+               [(3, 10.0, 12.0), (1, 10.0, 6.0), (2, 10.0, 9.0)]
+               for side, value in (("parent", parent), ("change", change))]
+    layer = record_bench.summarise(records, ["a"])["w"]["a"]
+    assert layer["ratios"] == [0.6, 0.9, 1.2]  # in seed order
+    assert layer["change_over_parent"] == 0.9
+    assert min(layer["ratios"]) < 0.85 < max(layer["ratios"])
 
 
 def test_untraced_records_give_an_empty_summary():

@@ -62,13 +62,16 @@ def test_record_arrays_refuse_writes(write, error, message):
         write()
 
 
-def test_float_columns_are_views_of_the_callers_arrays():
-    distance, loss = np.array([1.0, 2.0, 4.0]), np.array([80.0, 86.0, 92.0])
-    samples = SampleSet(distance, loss)
-    assert np.shares_memory(samples.distance_m, distance)
-    assert np.shares_memory(samples.path_loss_db, loss)
-    distance[0] = 1.5  # the caller's own array stays writable
-    assert samples.distance_m[0] == 1.5
+@pytest.mark.parametrize("build, column, bad", [
+    (lambda a: SampleSet(a, a + 80.0), "distance_m", -1.0),
+    (lambda a: PdpRecord(a, -a), "delays_ns", 9.0),
+], ids=["samples", "sweep"])
+def test_callers_writes_do_not_show_through(build, column, bad):
+    given = np.array([1.0, 2.0, 4.0])
+    record = build(given)
+    given[0] = bad  # a negative distance, or delays no longer increasing
+    assert getattr(record, column).tolist() == [1.0, 2.0, 4.0]
+    assert not np.shares_memory(getattr(record, column), given)
 
 
 @pytest.mark.parametrize("given", [
