@@ -276,10 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, func, layout=True):
+    def add_common(p, func, layout="layout JSON (default: shipped layout)"):
         p.add_argument("--output", "-o", default=None, help="output file (default stdout)")
         if layout:
-            p.add_argument("--layout", default=None, help="layout JSON (default: shipped layout)")
+            p.add_argument("--layout", default=None, help=layout)
         p.set_defaults(func=func)
 
     p = sub.add_parser("fit", help="fit (alpha, beta, sigma) from a sample CSV")
@@ -298,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("process", help="reduce a measurement directory to samples CSV")
     p.add_argument("measurement_dir", help="directory of <seat>_<height> sweep sets")
     p.add_argument("calibration", help="calibration JSON")
-    add_common(p, cmd_process)
+    add_common(p, cmd_process, layout="layout JSON that tags each sample with its seat's region, "
+               "which fit --by-group needs (default: no region column)")
 
     p = sub.add_parser("synth", help="generate synthetic samples or a PDP directory")
     p.add_argument("--model", required=True, help="'Region/height' or model JSON file")

@@ -8,16 +8,18 @@ power combining happens in linear watts; only the reported figures are dB.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .geometry import BusLayout, seat_links
 from .models import (
+    POWER_DB_RANGE,
     HeightClass,
     PathLossModel,
     Region,
+    check_ranges,
     coverage_probability,
     csv_text,
     is_extrapolated,
@@ -46,9 +48,9 @@ ModelMap = Mapping[tuple[Region, HeightClass], PathLossModel]
 # finite and normal for any path loss in [-2,600, 2,100] dB, and shannon_rate
 # stays below 1e12 Hz x 1,100 bit/s/Hz.
 _FIELD_RANGES = {
-    "tx_power_dbm": (-300.0, 300.0),
-    "g_tx_dbi": (-300.0, 300.0),
-    "g_rx_dbi": (-300.0, 300.0),
+    "tx_power_dbm": POWER_DB_RANGE,
+    "g_tx_dbi": POWER_DB_RANGE,
+    "g_rx_dbi": POWER_DB_RANGE,
     "bandwidth_hz": (0.0, 1e12),
     "noise_figure_db": (0.0, 300.0),
     # An infinite threshold is meaningful: every link, or none, clears it.
@@ -78,11 +80,7 @@ class LinkBudgetConfig:
     snr_threshold_db: float = 5.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            low, high = _FIELD_RANGES[f.name]
-            if not low <= value <= high:  # NaN fails too
-                raise ValueError(f"{f.name} must be in [{low:g}, {high:g}], got {value}")
+        check_ranges(self, _FIELD_RANGES)
         if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth_hz must be > 0")
         snr = link_snr(self, 0.0)

@@ -6,10 +6,10 @@ Ten fitted parameter sets ship with the package, one per seat region
 (A-D plus the pooled "All" set) and transmitter height class;
 verify_registry checks the pooled sets against the paper's rounded
 coefficients, and path_loss_band gives the 5-95% shadowing band. The shared
-I/O helpers live here too: read_text, load_json_object, float_record and
-check_fields (the one unknown-key check) for input files, csv_text and
-float_cells for CSV output, and read_csv, its inverse, which builds a record
-and names the line of the first row the record's rules reject (first_fault).
+I/O helpers live here too: read_text, load_json_object, float_record, and
+check_fields and check_ranges (the one unknown-key and range checks) for input
+files, csv_text and float_cells for CSV output, and read_csv, its inverse, which
+builds a record and names the line of the first row its rules reject (first_fault).
 """
 
 from __future__ import annotations
@@ -278,6 +278,19 @@ def check_fields(obj: dict, cls, where: str = "") -> None:
             raise ValueError(f"{where}unknown field {key!r}")
 
 
+# The range of a dB power or gain field of a link budget or a calibration.
+POWER_DB_RANGE = (-300.0, 300.0)
+
+
+def check_ranges(record, ranges: Mapping[str, tuple[float, float]]) -> None:
+    """ValueError naming the first field of record, in the order of ranges, whose
+    value lies outside its range [low, high]; NaN lies outside every range."""
+    for name, (low, high) in ranges.items():
+        value = getattr(record, name)
+        if not low <= value <= high:
+            raise ValueError(f"{name} must be in [{low:g}, {high:g}], got {value}")
+
+
 def float_record(cls, obj: dict, where: str = ""):
     """cls(...) with each dataclass field read from obj by float_field, in field
     order; an absent field takes its dataclass default, one without a default is
@@ -359,6 +372,10 @@ class TagColumn(collections.abc.Sequence):
         index[None] = -1
         return cls(np.fromiter(map(index.__getitem__, tags), np.intp, len(tags)), values)
 
+    def code(self, tag) -> int:
+        """The code of tag, or -2, which matches no row, when no row has it."""
+        return self.values.index(tag) if tag in self.values else -2
+
     def take(self, table: Sequence) -> np.ndarray:
         """An object array of table[code] for each row's code: table has an entry
         per value, then one for a missing tag."""
@@ -379,11 +396,19 @@ class TagColumn(collections.abc.Sequence):
         return iter(self.take([*self.values, None]))
 
 
-def float_column(values) -> np.ndarray:
-    """A record's float column: a read-only float64 copy of values, which no caller holds."""
-    column = np.array(values, dtype=float)
-    column.flags.writeable = False
-    return column
+def float_columns(record, names: Sequence[str], message: str) -> None:
+    """Set each named field of a frozen record to a read-only float64 copy of its
+    value, which no caller holds; ValueError with message unless the copies are
+    1-D and of one length, else with the first fault of record.rules(*copies)."""
+    columns = [np.array(getattr(record, name), dtype=float) for name in names]
+    if any(column.ndim != 1 or len(column) != len(columns[0]) for column in columns):
+        raise ValueError(message)
+    for name, column in zip(names, columns):
+        column.flags.writeable = False
+        object.__setattr__(record, name, column)
+    fault = first_fault(record.rules(*columns))
+    if fault:
+        raise ValueError(fault[1])
 
 
 def first_fault(rules) -> tuple[int, str] | None:
@@ -499,7 +524,8 @@ def read_csv(text: str, source, kind: str, columns: Sequence[str], record,
             array[done:done + rows] = column[:rows]
         for i, name in enumerate(names, len(columns)):
             table, codes, tag_cells = tables[name], distinct[name], cells[i:rows * width:width]
-            for cell in set(tag_cells).difference(table):
+            new = set(tag_cells).difference(table)  # spares most blocks the slower ordered pass
+            for cell in filter(new.__contains__, dict.fromkeys(tag_cells) if new else ()):
                 tag = cell.strip()
                 try:
                     table[cell] = codes.setdefault(tags[name](tag), len(codes)) if tag else -1

@@ -22,13 +22,14 @@ import numpy as np
 from .fit import SampleSet
 from .geometry import BusLayout, SeatNotFoundError
 from .models import (
+    POWER_DB_RANGE,
     SPEED_OF_LIGHT,
     HeightClass,
     PathLossModel,
+    check_ranges,
     csv_text,
-    first_fault,
     float_cells,
-    float_column,
+    float_columns,
     int_field,
     load_json_object,
     read_csv,
@@ -56,13 +57,8 @@ class PdpRecord:
     powers_db: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delays_ns", float_column(self.delays_ns))
-        object.__setattr__(self, "powers_db", float_column(self.powers_db))
-        if self.delays_ns.shape != self.powers_db.shape:
-            raise ValueError("delay and power arrays must match in length")
-        fault = first_fault(self.rules(self.delays_ns, self.powers_db))
-        if fault:
-            raise ValueError(fault[1])
+        float_columns(self, ("delays_ns", "powers_db"),
+                      "delay and power arrays must match in length and be 1-D")
 
     @staticmethod
     def rules(delays: np.ndarray, powers: np.ndarray) -> list[tuple[np.ndarray, str]]:
@@ -84,16 +80,16 @@ class MeasurementSet:
     sweeps: list[PdpRecord] = field(default_factory=list)
 
 
-# The range of the radiated level and of each gain, as for a link budget's power and
-# gains. A set's received power is 10*log10 of a positive finite float, within
+# The radiated level and each gain lie in POWER_DB_RANGE, as a link budget's power and
+# gains do. A set's received power is 10*log10 of a positive finite float, within
 # [-3,234, 3,083] dB, so every path loss lies within +-4,200 dB and its fit stays finite.
-CALIBRATION_DB_RANGE = (-300.0, 300.0)
+_CALIBRATION_RANGES = dict.fromkeys(("radiated_power_db", "g_tx_dbi", "g_rx_dbi"), POWER_DB_RANGE)
 
 
 @dataclass(frozen=True)
 class LinkCalibration:
     """System calibration: radiated level, antenna gains, noise window. The
-    level and the gains must lie in CALIBRATION_DB_RANGE."""
+    level and the gains must lie in models.POWER_DB_RANGE."""
 
     radiated_power_db: float
     g_tx_dbi: float = 2.0
@@ -101,11 +97,7 @@ class LinkCalibration:
     noise_threshold_db: float = DEFAULT_NOISE_THRESHOLD_DB
 
     def __post_init__(self) -> None:
-        low, high = CALIBRATION_DB_RANGE
-        for name in ("radiated_power_db", "g_tx_dbi", "g_rx_dbi"):
-            value = getattr(self, name)
-            if not low <= value <= high:  # NaN fails too
-                raise ValueError(f"{name} must be in [{low:g}, {high:g}], got {value}")
+        check_ranges(self, _CALIBRATION_RANGES)
         if not self.noise_threshold_db > 0:
             raise ValueError("noise_threshold_db must be > 0")
 

@@ -358,6 +358,16 @@ class TestProcessPipeline:
         assert round(result["alpha_db"], 2) == 82.86
         assert round(result["beta"], 2) == 2.03
 
+    def test_help_says_layout_gives_the_region_column(self, capsys):
+        # process without --layout writes no region column, so fit --by-group exits 2 on it.
+        with pytest.raises(SystemExit) as exc:
+            main(["process", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert exc.value.code == 0
+        assert ("--layout LAYOUT layout JSON that tags each sample with its seat's region, "
+                "which fit --by-group needs (default: no region column)") in text
+        assert "shipped layout" not in text
+
     def test_corrupt_sweep_exit_2(self, capsys, tmp_path):
         cal_path = tmp_path / "cal.json"
         cal_path.write_text(json.dumps({"radiated_power_db": 0.0}))

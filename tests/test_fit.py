@@ -203,7 +203,8 @@ class TestFitByPartition:
         st.lists(st.sampled_from([None, *HeightClass]), min_size=n, max_size=n))))
     def test_equals_boolean_mask_cells_bit_for_bit(self, columns):
         # Reference: each cell's samples picked by a boolean mask over object columns,
-        # in file order; a tag None or Region.ALL joins only its height's All cell.
+        # in file order; a tag None or Region.ALL joins only its height's All cell. The
+        # partition is checked on the columns as built and as the CSV reader codes them.
         distance, loss, region, height = columns
         samples = SampleSet(np.array(distance, float), np.array(loss, float),
                             region=region, height=height)
@@ -218,8 +219,6 @@ class TestFitByPartition:
                         fits[(r, h)] = fit_log_distance(cell, region=r, height=h)
                     except (InsufficientDataError, DegenerateDataError):
                         skipped.append((r, h, int(mask.sum())))
-        result = fit_by_partition(samples)
-        assert list(result.fits) == list(fits) and result.skipped == skipped
 
         def bits(res):
             m = res.model
@@ -227,7 +226,10 @@ class TestFitByPartition:
                                               res.alpha_se_db, res.beta_se)],
                     m.region, m.height, res.n, res.residuals_db.tobytes())
 
-        assert [bits(res) for res in result.fits.values()] == [bits(res) for res in fits.values()]
+        for given_samples in (samples, samples_from_csv(samples_to_csv(samples))):
+            result = fit_by_partition(given_samples)
+            assert list(result.fits) == list(fits) and result.skipped == skipped
+            assert [bits(r) for r in result.fits.values()] == [bits(r) for r in fits.values()]
 
     def test_small_cell_skipped(self):
         samples = SampleSet(

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import busloss
 from busloss.models import (
     CSV_BLOCK_ROWS,
     CombinedForm,
@@ -393,6 +398,22 @@ class TestInputHelpers:
         tags = read_csv(text, "t.csv", "test", ("a",), Rows, {"b": int}).tags
         assert tags["b"].codes.tolist() == [0, -1, 0, 0, 1] and tags["b"].values == (3, 7)
         assert not tags["b"].codes.flags.writeable
+
+    def test_csv_tag_values_in_file_order_under_any_hash_seed(self):
+        # Set iteration follows the string hash, which PYTHONHASHSEED sets per process;
+        # the values must keep file order anyway, also for tags first seen in a later block.
+        code = ("import busloss.models as m\n"
+                "m.CSV_BLOCK_ROWS = 2\n"
+                "from busloss.fit import samples_from_csv\n"
+                "s = samples_from_csv(open(0).read())\n"
+                "print(s.seat.values, [r.value for r in s.region.values])\n")
+        text = ("distance_m,path_loss_db,seat,region\n1,80, 3,C\n2,81,,A\n"
+                "3,82,3 , D\n4,83,03,B \n5,84,7,\n6,85,5,All\n")
+        env = {**os.environ, "PYTHONHASHSEED": "9", "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(busloss.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], input=text, env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert proc.stdout == "(3, 7, 5) ['C', 'A', 'D', 'B', 'All']\n"
 
     @pytest.mark.parametrize("text, expected", [
         ("", "t.csv: empty test file"),

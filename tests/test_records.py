@@ -62,6 +62,16 @@ def test_record_arrays_refuse_writes(write, error, message):
         write()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: PdpRecord(5.0, -80.0), "delay and power arrays"),
+    (lambda: SampleSet(2.0, 80.0), "distance and path loss arrays"),
+    (lambda: SampleSet([[1.0, 2.0]], [[80.0, 81.0]]), "distance and path loss arrays"),
+], ids=["sweep-scalars", "samples-scalars", "samples-2d"])
+def test_columns_must_be_1d(build, message):
+    with pytest.raises(ValueError, match=f"^{message} must match in length and be 1-D$"):
+        build()
+
+
 @pytest.mark.parametrize("build, column, bad", [
     (lambda a: SampleSet(a, a + 80.0), "distance_m", -1.0),
     (lambda a: PdpRecord(a, -a), "delays_ns", 9.0),
