@@ -21,11 +21,11 @@ from typing import Sequence
 from .models import (
     HeightClass,
     Region,
-    check_fields,
     float_field,
     float_record,
     int_field,
     load_json_object,
+    tag_field,
 )
 
 DEFAULT_UPPER_HEIGHT_M = 1.2
@@ -190,55 +190,45 @@ def default_layout() -> BusLayout:
     return layout_from_dict(json.loads(path.read_text(encoding="utf-8")))
 
 
-def _group(value) -> Region:
-    try:
-        return Region(value)
-    except ValueError:
-        raise ValueError(f"field 'group' must be one of A, B, C, D, got {value!r}") from None
-
-
-def _flag(obj: dict, name: str) -> bool:
-    """obj[name] if it is JSON true or false, False if absent; ValueError otherwise."""
-    value = obj.get(name, False)
+def _flag(obj: dict, name: str, default: bool) -> bool:
+    """obj[name] if it is JSON true or false, default if absent; ValueError otherwise."""
+    value = obj.get(name, default)
     if not isinstance(value, bool):
         raise ValueError(f"field {name!r} must be true or false, got {value!r}")
     return value
 
 
-def _seat_from_dict(s: dict) -> SeatSpec:
-    seat_id = int_field(s, "id")
-    check_fields(s, SeatSpec, f"seat {seat_id}: ")
-    return SeatSpec(
-        id=seat_id,
-        x=float_field(s, "x"),
-        y=float_field(s, "y"),
-        seat_height_m=float_field(s, "seat_height_m", 0.5),
-        group=_group(s["group"]),
-        lower_excluded=_flag(s, "lower_excluded"),
-    )
+# The seat_height_m of a layout file's seat that gives none.
+DEFAULT_SEAT_HEIGHT_M = 0.5
+
+_SEAT_READERS = {
+    "id": int_field,
+    "seat_height_m": lambda obj, name, _: float_field(obj, name, DEFAULT_SEAT_HEIGHT_M),
+    "group": functools.partial(tag_field, tags=tuple(r for r in Region if r != Region.ALL)),
+    "lower_excluded": _flag,
+}
+
+
+def _seats(obj: dict, name: str, _) -> list[SeatSpec]:
+    seats = [float_record(SeatSpec, s, f"seat {int_field(s, 'id')}: ", _SEAT_READERS)
+             for s in obj[name]]
+    if not seats:
+        raise ValueError(f"field {name!r} must list at least one seat")
+    return seats
+
+
+_LAYOUT_READERS = {
+    "rx": lambda obj, name, _: float_record(Point3, obj[name], "rx: "),
+    "seats": _seats,
+    "height_mode": lambda obj, name, default: str(obj.get(name, default)),
+}
 
 
 def layout_from_dict(obj: dict) -> BusLayout:
-    """Build a layout; every number is read with float_field, and a seat's group and
-    lower_excluded flag are checked, so that a bad value's message names its field.
-    The keys of the layout, its receiver and each seat are the fields of BusLayout,
-    Point3 and SeatSpec; any other key is rejected by name, and the layout must
-    list at least one seat."""
+    """The BusLayout, its rx Point3 and each SeatSpec read by float_record, so that a
+    bad value or an unknown key is named; the layout must list at least one seat."""
     try:
-        check_fields(obj, BusLayout)
-        seats = [_seat_from_dict(s) for s in obj["seats"]]
-        if not seats:
-            raise ValueError("field 'seats' must list at least one seat")
-        rx = float_record(Point3, obj["rx"], "rx: ")
-        return BusLayout(
-            length_m=float_field(obj, "length_m"),
-            width_m=float_field(obj, "width_m"),
-            rx=rx,
-            seats=seats,
-            upper_height_m=float_field(obj, "upper_height_m", DEFAULT_UPPER_HEIGHT_M),
-            lower_height_m=float_field(obj, "lower_height_m", DEFAULT_LOWER_HEIGHT_M),
-            height_mode=str(obj.get("height_mode", "floor")),
-        )
+        return float_record(BusLayout, obj, readers=_LAYOUT_READERS)
     except KeyError as exc:
         raise LayoutError(f"missing field {exc}") from None
     except TypeError as exc:

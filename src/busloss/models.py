@@ -6,8 +6,8 @@ Ten fitted parameter sets ship with the package, one per seat region
 (A-D plus the pooled "All" set) and transmitter height class;
 verify_registry checks the pooled sets against the paper's rounded
 coefficients, and path_loss_band gives the 5-95% shadowing band. The shared
-I/O helpers live here too: read_text, load_json_object, float_record, and
-check_fields and check_ranges (the one unknown-key and range checks) for input
+I/O helpers live here too: read_text, load_json_object, float_record (the one
+JSON record reader) with its tag_field, and check_ranges (the one range check) for input
 files, csv_text and float_cells for CSV output, and read_csv, its inverse, which
 builds a record and names the line of the first row its rules reject (first_fault).
 """
@@ -254,28 +254,12 @@ def float_field(obj: dict, name: str, default=MISSING) -> float:
     """obj[name] as a float, or default if given and absent; ValueError if it is
     not an int or float (a bool, text or null) or is NaN."""
     value = obj[name] if default is MISSING else obj.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"field {name!r} must be a number, got {value!r}")
     try:
-        number = float(value)
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and not math.isnan(value):
+            return float(value)
     except OverflowError:  # an int too large for a float
-        raise ValueError(f"field {name!r} must be a number, got {value!r}") from None
-    if math.isnan(number):
-        raise ValueError(f"field {name!r} must be a number, got {value!r}")
-    return number
-
-
-@functools.cache
-def _field_names(cls) -> frozenset[str]:
-    return frozenset(f.name for f in fields(cls))
-
-
-def check_fields(obj: dict, cls, where: str = "") -> None:
-    """ValueError naming the first key of obj that is not a field of the dataclass cls."""
-    known = _field_names(cls)
-    for key in obj:
-        if key not in known:
-            raise ValueError(f"{where}unknown field {key!r}")
+        pass
+    raise ValueError(f"field {name!r} must be a number, got {value!r}")
 
 
 # The range of a dB power or gain field of a link budget or a calibration.
@@ -291,18 +275,41 @@ def check_ranges(record, ranges: Mapping[str, tuple[float, float]]) -> None:
             raise ValueError(f"{name} must be in [{low:g}, {high:g}], got {value}")
 
 
-def float_record(cls, obj: dict, where: str = ""):
-    """cls(...) with each dataclass field read from obj by float_field, in field
-    order; an absent field takes its dataclass default, one without a default is
-    required, and a key that is not a field is rejected by check_fields."""
-    record = cls(**{f.name: float_field(obj, f.name, f.default) for f in fields(cls)})
-    check_fields(obj, cls, where)
+@functools.cache
+def _field_defaults(cls) -> dict[str, object]:
+    return {f.name: f.default for f in fields(cls)}
+
+
+def float_record(cls, obj: dict, where: str = "", readers: Mapping[str, Callable] = {}):
+    """cls(...) with each dataclass field read from obj in field order, by
+    readers[name](obj, name, default) or else float_field; default is the field's
+    dataclass default (MISSING if it has none), taken when the field is absent.
+    Then the first key of obj that is not a field raises a ValueError naming it."""
+    defaults = _field_defaults(cls)
+    record = cls(**{name: readers.get(name, float_field)(obj, name, default)
+                    for name, default in defaults.items()})
+    for key in obj:
+        if key not in defaults:
+            raise ValueError(f"{where}unknown field {key!r}")
     return record
 
 
-def int_field(obj: dict, name: str) -> int:
-    """obj[name] as an int; ValueError names a field that is not an integral number."""
-    value = float_field(obj, name)
+def tag_field(obj: dict, name: str, default=MISSING, tags: Iterable[Enum] = ()) -> Enum | None:
+    """The one of tags whose value is obj[name], or default if given and absent; JSON
+    null gives a default of None. Any other value raises a ValueError naming the field."""
+    value = obj[name] if default is MISSING else obj.get(name, default)
+    if value is None and default is None:
+        return None
+    for tag in tags:
+        if tag.value == value:
+            return tag
+    raise ValueError(f"field {name!r} must be one of {', '.join(t.value for t in tags)}, "
+                     f"got {value!r}")
+
+
+def int_field(obj: dict, name: str, default=MISSING) -> int:
+    """obj[name], or default if given and absent, as an int; ValueError if not integral."""
+    value = float_field(obj, name, default)
     if not value.is_integer():
         raise ValueError(f"field {name!r} must be an integer, got {obj[name]!r}")
     return int(value)
@@ -554,16 +561,16 @@ def read_csv(text: str, source, kind: str, columns: Sequence[str], record,
     return built
 
 
+_MODEL_TAGS = {"region": functools.partial(tag_field, tags=tuple(Region)),
+               "height": functools.partial(tag_field, tags=tuple(HeightClass))}
+
+
 def model_from_dict(obj: dict) -> PathLossModel:
-    region = obj.get("region")
-    height = obj.get("height")
-    return PathLossModel(
-        alpha_db=float_field(obj, "alpha_db"),
-        beta=float_field(obj, "beta"),
-        sigma_db=float_field(obj, "sigma_db"),
-        region=Region(region) if region is not None else None,
-        height=HeightClass(height) if height is not None else None,
-    )
+    """The PathLossModel of obj's fields, read by float_record (region and height may
+    be null or absent); other keys, such as fit's statistics, are ignored."""
+    known = _field_defaults(PathLossModel)
+    return float_record(PathLossModel, {k: v for k, v in obj.items() if k in known},
+                        readers=_MODEL_TAGS)
 
 
 def model_to_json(model: PathLossModel) -> str:

@@ -35,6 +35,7 @@ from .models import (
     read_csv,
     read_text,
     sample_path_loss,
+    tag_field,
 )
 
 DEFAULT_NOISE_THRESHOLD_DB = 25.0  # retained window below the PDP peak
@@ -158,7 +159,7 @@ def aggregate_measurement(
     return distance, path_loss_from_power(cal, 10.0 * math.log10(mean_rx))
 
 
-def _group(layout: BusLayout, mset: MeasurementSet):
+def _set_group(layout: BusLayout, mset: MeasurementSet):
     """The layout group of a set's seat; SeatNotFoundError names the set's directory."""
     try:
         return layout.seat(mset.seat).group
@@ -176,7 +177,7 @@ def measurements_to_samples(
         pairs[:, 0],
         pairs[:, 1],
         seat=[mset.seat for mset in sets],
-        region=None if layout is None else [_group(layout, mset) for mset in sets],
+        region=None if layout is None else [_set_group(layout, mset) for mset in sets],
         height=[mset.height for mset in sets],
     )
 
@@ -230,7 +231,7 @@ def load_measurement_dir(root: str | Path) -> list[MeasurementSet]:
             raise PdpFormatError(f"{entry}: directory name must be <seat>_<height>")
         meta_path = entry / "meta.json"
         seat, height = load_json_object(meta_path, "metadata", lambda meta: (
-            int_field(meta, "seat"), HeightClass(meta["height"])), PdpFormatError)
+            int_field(meta, "seat"), tag_field(meta, "height", tags=HeightClass)), PdpFormatError)
         if (seat, height.value) != (int(match.group(1)), match.group(2)):
             raise PdpFormatError(f"{meta_path}: metadata disagrees with directory name")
 
