@@ -32,8 +32,9 @@ class InsufficientDataError(ValueError):
 
 
 class DegenerateDataError(ValueError):
-    """Samples cannot identify the model (e.g. a single distinct distance, or
-    path losses whose least-squares sums overflow a float)."""
+    """Samples cannot identify the model (e.g. a single distinct distance, path
+    losses whose least-squares sums overflow a float, or a fit outside the model's
+    parameter ranges)."""
 
 
 # The optional tags of a sample, in sample CSV column order, each with the
@@ -135,7 +136,10 @@ def fit_log_distance(
     if height is None and samples.height is not None:
         height = samples.height.uniform()
 
-    model = PathLossModel(alpha_db=alpha, beta=beta, sigma_db=sigma, region=region, height=height)
+    try:
+        model = PathLossModel(alpha, beta, sigma, region, height)
+    except ValueError as exc:  # a parameter outside its range
+        raise DegenerateDataError(f"fitted model out of range: {exc}") from None
     return FitResult(model=model, residuals_db=residuals, r_squared=r_squared, n=n,
                      alpha_se_db=sigma * math.sqrt(1.0 / n + x_mean**2 / sxx),
                      beta_se=sigma / math.sqrt(sxx))

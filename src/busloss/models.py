@@ -55,14 +55,33 @@ class HeightClass(Enum):
     UPPER = "upper"
 
 
+# The range of a dB power or gain field of a link budget or a calibration.
+POWER_DB_RANGE = (-300.0, 300.0)
+
+
+def check_ranges(record, ranges: Mapping[str, tuple[float, float]]) -> None:
+    """ValueError naming the first field of record, in the order of ranges, whose
+    value lies outside its range [low, high]; NaN lies outside every range."""
+    for name, (low, high) in ranges.items():
+        value = getattr(record, name)
+        if not low <= value <= high:
+            raise ValueError(f"{name} must be in [{low:g}, {high:g}], got {value}")
+
+
+# Every positive finite double d has |log10 d| < 324 (it lies in [4.9e-324, 1.8e308]),
+# so in these ranges every mean loss alpha + 10*beta*log10(d) lies within
+# +-(1,000 + 10*100*324) = +-325,000 dB, and adding sigma times a normal draw keeps it finite.
+_MODEL_RANGES = {"alpha_db": (-1000.0, 1000.0), "beta": (-100.0, 100.0), "sigma_db": (0.0, 100.0)}
+
+
 @dataclass(frozen=True)
 class PathLossModel:
     """One (alpha, beta, sigma) parameter set of the log-distance model.
 
     alpha_db is the propagation constant, beta the propagation exponent and
-    sigma_db the shadow-fading standard deviation. region/height identify
-    which measurement subset the parameters were fitted on; they may be None
-    for models fitted from untagged data.
+    sigma_db the shadow-fading standard deviation, each within its _MODEL_RANGES
+    range. region/height identify which measurement subset the parameters were
+    fitted on; they may be None for models fitted from untagged data.
     """
 
     alpha_db: float
@@ -72,10 +91,7 @@ class PathLossModel:
     height: HeightClass | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha_db) and math.isfinite(self.beta)):
-            raise ValueError("alpha_db and beta must be finite")
-        if not (math.isfinite(self.sigma_db) and self.sigma_db >= 0.0):
-            raise ValueError("sigma_db must be finite and >= 0")
+        check_ranges(self, _MODEL_RANGES)
 
 
 @dataclass(frozen=True)
@@ -262,19 +278,6 @@ def float_field(obj: dict, name: str, default=MISSING) -> float:
     raise ValueError(f"field {name!r} must be a number, got {value!r}")
 
 
-# The range of a dB power or gain field of a link budget or a calibration.
-POWER_DB_RANGE = (-300.0, 300.0)
-
-
-def check_ranges(record, ranges: Mapping[str, tuple[float, float]]) -> None:
-    """ValueError naming the first field of record, in the order of ranges, whose
-    value lies outside its range [low, high]; NaN lies outside every range."""
-    for name, (low, high) in ranges.items():
-        value = getattr(record, name)
-        if not low <= value <= high:
-            raise ValueError(f"{name} must be in [{low:g}, {high:g}], got {value}")
-
-
 @functools.cache
 def _field_defaults(cls) -> dict[str, object]:
     return {f.name: f.default for f in fields(cls)}
@@ -358,18 +361,20 @@ def float_cells(values: np.ndarray) -> Iterable[str]:
 @dataclass(frozen=True, eq=False)
 class TagColumn(collections.abc.Sequence):
     """A categorical column of tags: row i has the tag values[codes[i]], or None
-    (a missing tag) where codes[i] is -1. codes is a read-only intp array and
-    values holds each distinct tag once, in order of first appearance; [i] and
-    iteration give the tags themselves."""
+    (a missing tag) where codes[i] is -1; a code outside [-1, len(values)) raises
+    ValueError. codes is a read-only intp array and values holds each distinct tag
+    once, in order of first appearance; [i] and iteration give the tags themselves."""
 
     codes: np.ndarray
     values: tuple
 
     def __post_init__(self) -> None:
-        codes = np.asarray(self.codes, dtype=np.intp).view()
+        codes, values = np.asarray(self.codes, dtype=np.intp).view(), tuple(self.values)
+        if codes.size and not -1 <= codes.min() <= codes.max() < len(values):
+            raise ValueError(f"tag codes must lie in [-1, {len(values)})")
         codes.flags.writeable = False
         object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def of(cls, tags: Sequence) -> "TagColumn":
@@ -543,15 +548,14 @@ def read_csv(text: str, source, kind: str, columns: Sequence[str], record,
         done += rows
         if stop:
             break
-    arrays = [array[:done] for array in arrays]
-    found = {name: TagColumn(column[:done], distinct[name]) for name, column in found.items()}
+    arrays, found = [array[:done] for array in arrays], {n: c[:done] for n, c in found.items()}
     # The stop is first, to win a tie with a fault of no row; no other fault is at its row.
     faults = [(done, stop)] if stop else []
     try:
-        built = record(*arrays, **found)
-    except ValueError:
-        faults.append(first_fault(record.rules(*arrays)))
-    faults += [(int(np.argmax(found[name].codes == _BAD_TAG)), "bad tag value")
+        built = record(*arrays, **{n: TagColumn(c, distinct[n]) for n, c in found.items()})
+    except ValueError:  # a rule's fault, or a _BAD_TAG code, which TagColumn rejects
+        faults += filter(None, [first_fault(record.rules(*arrays))])
+    faults += [(int(np.argmax(found[name] == _BAD_TAG)), "bad tag value")
                for name in names if _BAD_TAG in tables[name].values()]
     if faults:
         row, message = min(faults, key=lambda fault: fault[0])

@@ -237,6 +237,7 @@ class TestJsonInputs:
         ("lower_excluded", 0, "must be true or false, got 0"),
         ("group", 1, "must be one of A, B, C, D, got 1"),
         ("group", "E", "must be one of A, B, C, D, got 'E'"),
+        ("group", "All", "must be one of A, B, C, D, got 'All'"),
     ])
     def test_layout_seat_field_exit_2(self, capsys, tmp_path, field, value, message):
         path = tmp_path / "layout.json"
@@ -704,6 +705,93 @@ class TestBudgetRanges:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}: bad budget config (")
         assert expected in err
+
+
+class TestModelBounds:
+    """A model file whose parameters leave their ranges exits 2 naming the file and
+    the field, instead of printing -inf, NaN or inf or failing on the samples."""
+
+    HUGE_BETA = {"alpha_db": 80, "beta": 1e308, "sigma_db": 2}
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", "{m}", "--distances", "0.5:2:0.5"],
+        ["compare", "--model-a", "All/upper", "--model-b", "{m}", "--distances", "0.5:2:0.5"],
+        ["synth", "--model", "{m}", "--height", "upper", "--seed", "1"],
+    ], ids=["eval", "compare", "synth"])
+    def test_huge_beta_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(self.HUGE_BETA))
+        code, out, err = run(capsys, *[a.format(m=path) for a in argv])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: bad model (beta must be in [-100, 100], got 1e+308)\n"
+
+    @pytest.mark.parametrize("by_group", [False, True], ids=["fit", "by-group"])
+    def test_fit_beyond_the_bounds_exit_3_or_skipped(self, capsys, tmp_path, by_group):
+        # Three valid samples 1e-7 m apart whose OLS beta is about 2.3e7.
+        rows = ["1,80", "1.0000001,90", "1.0000002,100"]
+        text = "distance_m,path_loss_db,region,height\n"
+        text += "".join(f"{row},A,upper\n" for row in rows)
+        text += "".join(f"{row},B,upper\n" for row in ["1,80", "2,90", "3,100"])
+        path = tmp_path / "s.csv"
+        path.write_text(text if by_group else "distance_m,path_loss_db\n" + "\n".join(rows))
+        code, out, err = run(capsys, "fit", str(path), *(["--by-group"] if by_group else []))
+        if by_group:
+            assert code == 0
+            assert json.loads(out)["skipped"] == [{"region": "A", "height": "upper", "n": 3}]
+        else:
+            assert (code, out) == (3, "")
+            assert err.startswith("error: fitted model out of range: beta must be in [-100, 100]")
+
+
+class TestModelFiles:
+    """fit's output is a model file: model_from_dict reads the model's own fields and
+    ignores the statistics beside them."""
+
+    STATS = ("r_squared", "n", "alpha_se_db", "beta_se")
+
+    def test_fit_output_is_a_model_file(self, capsys, tmp_path):
+        samples, model = tmp_path / "s.csv", tmp_path / "m.json"
+        assert main(["synth", "--model", "All/upper", "--height", "upper", "--seed", "1",
+                     "-o", str(samples)]) == 0
+        assert main(["fit", str(samples), "-o", str(model)]) == 0
+        obj = json.loads(model.read_text())
+        assert set(self.STATS) < obj.keys()
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps({k: v for k, v in obj.items() if k not in self.STATS}))
+        capsys.readouterr()
+        outputs = []
+        for argv in (["eval", "--model", "{m}", "--distances", "0.5:15:0.5"],
+                     ["compare", "--model-a", "All/upper", "--model-b", "{m}",
+                      "--distances", "0.5:15:0.5"],
+                     ["synth", "--model", "{m}", "--height", "lower", "--seed", "2"]):
+            for path in (model, bare):
+                code, out, err = run(capsys, *[a.format(m=path) for a in argv])
+                assert (code, err) == (0, "")
+                outputs.append(out)
+        assert outputs[0] == outputs[1] and outputs[0].count("\n") == 31
+        assert outputs[2] == outputs[3] and outputs[4] == outputs[5]
+
+    @pytest.mark.parametrize("field, value, choices", [
+        ("region", "E", "A, B, C, D, All"),
+        ("region", 1, "A, B, C, D, All"),
+        ("height", "middle", "lower, upper"),
+        ("height", ["upper"], "lower, upper"),
+    ])
+    def test_tag_fault_names_field(self, capsys, tmp_path, field, value, choices):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**OTHER_MODEL, field: value}))
+        code, out, err = run(capsys, "eval", "--model", str(path), "--distances", "1:2:1")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: bad model "
+                       f"(field {field!r} must be one of {choices}, got {value!r})\n")
+
+    def test_null_or_absent_tags_are_none(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        outputs = []
+        for obj in (OTHER_MODEL, {k: OTHER_MODEL[k] for k in ("alpha_db", "beta", "sigma_db")}):
+            path.write_text(json.dumps(obj))
+            outputs.append(run(capsys, "eval", "--model", str(path), "--distances", "1:2:1"))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
 class TestParserCache:

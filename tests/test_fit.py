@@ -91,6 +91,12 @@ class TestFitLogDistance:
                 SampleSet(np.array([2.0, 2.0, 2.0]), np.array([90.0, 91.0, 92.0]))
             )
 
+    def test_fit_beyond_the_model_ranges_degenerate(self):
+        # Valid samples 1e-7 m apart fit beta of about 2.3e7, beyond PathLossModel's range.
+        samples = SampleSet(np.array([1.0, 1.0000001, 1.0000002]), np.array([80.0, 90.0, 100.0]))
+        with pytest.raises(DegenerateDataError, match=r"^fitted model out of range: beta must"):
+            fit_log_distance(samples)
+
     def test_overflowing_sums_degenerate(self):
         # residuals of 1e308 square to inf; the fit reports that instead of an inf sigma
         with pytest.raises(DegenerateDataError, match="too large"):

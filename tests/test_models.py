@@ -1,5 +1,6 @@
 """Tests for the log-distance shadow-fading model and the shipped registry."""
 
+import functools
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from busloss.models import (
     HeightClass,
     PathLossModel,
     Region,
+    TagColumn,
     builtin_model,
     builtin_models,
     builtin_registry,
@@ -39,6 +41,7 @@ from busloss.models import (
     read_csv,
     read_text,
     sample_path_loss,
+    tag_field,
     to_combined_form,
     verify_registry,
 )
@@ -319,6 +322,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             PathLossModel(math.inf, 2.0, 1.0)
 
+    @pytest.mark.parametrize("params", [(-1000.0, -100.0, 0.0), (1000.0, 100.0, 100.0)])
+    def test_range_ends_accepted(self, params):
+        assert PathLossModel(*params).alpha_db == params[0]
+
+    @pytest.mark.parametrize("params, message", [
+        ((1000.5, 2.0, 1.0), "alpha_db must be in [-1000, 1000], got 1000.5"),
+        ((80.0, -100.5, 1.0), "beta must be in [-100, 100], got -100.5"),
+        ((80.0, 1e308, 1.0), "beta must be in [-100, 100], got 1e+308"),
+        ((80.0, 2.0, 100.5), "sigma_db must be in [0, 100], got 100.5"),
+        ((80.0, math.nan, 1.0), "beta must be in [-100, 100], got nan"),
+    ])
+    def test_out_of_range_names_field(self, params, message):
+        with pytest.raises(ValueError) as exc:
+            PathLossModel(*params)
+        assert str(exc.value) == message
+
+    def test_mean_loss_finite_at_the_range_ends(self):
+        # |log10 d| < 324 for every positive finite double d.
+        for d in (5e-324, 1.7976931348623157e308):
+            for beta in (-100.0, 100.0):
+                mean, p05, p95 = path_loss_band(PathLossModel(1000.0, beta, 100.0), d)
+                assert all(math.isfinite(v) and abs(v) < 325_200 for v in (mean, p05, p95))
+
     def test_extrapolation_flag(self):
         assert not is_extrapolated(1.0)
         assert not is_extrapolated(12.0)
@@ -358,6 +384,44 @@ class TestInputHelpers:
             float_record(Record, {"b": 3.0})
         with pytest.raises(ValueError, match="field 'a'"):
             float_record(Record, {"a": "x", "b": "y"})
+
+    def test_float_record_readers(self):
+        @dataclass(frozen=True)
+        class Record:
+            a: float
+            tag: Region | None = None
+            n: int = 3
+
+        calls = []
+
+        def read_n(obj, name, default):
+            calls.append((name, default))
+            return int_field(obj, name, default)
+
+        readers = {"tag": functools.partial(tag_field, tags=Region), "n": read_n}
+        assert float_record(Record, {"a": 1, "tag": "B"}, readers=readers) == Record(
+            1.0, Region.B, 3)
+        assert float_record(Record, {"a": 1, "tag": None, "n": 5}, readers=readers) == Record(
+            1.0, None, 5)
+        assert calls == [("n", 3), ("n", 3)]
+        with pytest.raises(ValueError, match="^r: unknown field 'm'$"):
+            float_record(Record, {"a": 1, "m": 2}, "r: ", readers)
+
+    def test_tag_field_names_field_and_choices(self):
+        tags = [Region.A, Region.B]
+        assert tag_field({"g": "B"}, "g", tags=tags) is Region.B
+        assert tag_field({}, "g", None, tags) is None
+        assert tag_field({"g": None}, "g", None, tags) is None
+        with pytest.raises(KeyError):
+            tag_field({}, "g", tags=tags)
+        for value in ("All", "b", None, 1, ["A"]):
+            with pytest.raises(ValueError) as exc:
+                tag_field({"g": value}, "g", tags=tags)
+            assert str(exc.value) == f"field 'g' must be one of A, B, got {value!r}"
+
+    def test_model_from_dict_ignores_other_keys(self):
+        obj = {"alpha_db": 80, "beta": 2, "sigma_db": 1, "r_squared": 0.5, "n": 3, "x": "y"}
+        assert model_from_dict(obj) == PathLossModel(80.0, 2.0, 1.0)
 
     def test_load_json_object_names_file(self, tmp_path):
         class ModelFileError(ValueError):

@@ -231,6 +231,17 @@ class TestMeasurementIo:
         with pytest.raises(PdpFormatError, match="meta.json: bad metadata"):
             load_measurement_dir(tmp_path)
 
+    @pytest.mark.parametrize("height, shown", [('"middle"', "'middle'"), ("null", "None")])
+    def test_bad_height_in_metadata_names_field(self, tmp_path, height, shown):
+        entry = tmp_path / "1_upper"
+        entry.mkdir()
+        (entry / "meta.json").write_text(f'{{"seat": 1, "height": {height}}}')
+        (entry / "sweep_0.csv").write_text("delay_ns,power_db\n1.0,-90\n")
+        with pytest.raises(PdpFormatError) as exc:
+            load_measurement_dir(tmp_path)
+        assert str(exc.value) == (f"{entry / 'meta.json'}: bad metadata "
+                                  f"(field 'height' must be one of lower, upper, got {shown})")
+
     def test_blank_rows_skipped(self, tmp_path):
         path = tmp_path / "sweep_0.csv"
         path.write_text("delay_ns,power_db\n1.0,-100\n\n , \n\t\n2.0,-101\n")

@@ -103,3 +103,19 @@ def test_tag_columns_are_read_only_copies(given):
         regions[0] = Region.C  # the caller's own array stays writable
     assert column[0] is Region.A
     assert replace(samples, distance_m=samples.distance_m * 2).region is column
+
+
+
+@pytest.mark.parametrize("codes, values", [
+    ([-2, 0], (Region.A, Region.B)), ([5], (Region.A,)), ([-1, 0], ()),
+], ids=["below-missing", "past-values", "no-values"])
+def test_tag_codes_must_index_values(codes, values):
+    # -2 read as None by [i] but as the last value in iteration; 5 raised IndexError on [i].
+    with pytest.raises(ValueError, match=rf"^tag codes must lie in \[-1, {len(values)}\)$"):
+        TagColumn(np.array(codes), values)
+
+
+def test_tag_codes_at_the_range_ends():
+    assert list(TagColumn(np.array([-1, 1, 0]), ("x", "y"))) == [None, "y", "x"]
+    assert list(TagColumn(np.array([-1, -1]), ())) == [None, None]
+    assert len(TagColumn(np.array([], dtype=np.intp), ())) == 0
