@@ -19,7 +19,6 @@ from busloss.models import (
     HeightClass,
     PathLossModel,
     Region,
-    TagColumn,
     builtin_model,
     builtin_models,
     builtin_registry,
