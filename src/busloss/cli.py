@@ -219,8 +219,8 @@ def cmd_synth(args) -> int:
         if args.calibration is None:
             raise ValueError("--pdp-dir requires --calibration")
         cal = _load_record(pdp.LinkCalibration, "calibration", args.calibration)
-        links = [(s, d) for s, _, d in geometry.seat_links(layout, height)]
-        sets = pdp.synth_measurements(model, links, height, cal, args.sweeps, args.seed)
+        ids, _, distances = geometry.seat_links(layout, height)
+        sets = pdp.synth_measurements(model, zip(ids, distances), height, cal, args.sweeps, args.seed)
         pdp.write_measurement_dir(args.pdp_dir, sets)
         return EXIT_OK
 

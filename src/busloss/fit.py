@@ -206,10 +206,9 @@ def synth_seat_samples(model: PathLossModel, layout: BusLayout, height: HeightCl
                        seed: int) -> SampleSet:
     """synth_samples's draw at the seat_links(layout, height) distances, each sample
     tagged with its link's seat and group and with height."""
-    links = seat_links(layout, height)
-    d, losses = _draw(model, [d for _, _, d in links], seed)
-    return SampleSet(d, losses, seat=[s for s, _, _ in links],
-                     region=[group for _, group, _ in links], height=[height] * len(links))
+    ids, groups, distances = seat_links(layout, height)
+    d, losses = _draw(model, distances, seed)
+    return SampleSet(d, losses, seat=ids, region=groups, height=[height] * len(ids))
 
 
 def samples_to_csv(samples: SampleSet) -> str:

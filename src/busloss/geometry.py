@@ -165,17 +165,18 @@ def seats_in_group(layout: BusLayout, region: Region, height: HeightClass) -> li
             if region in (Region.ALL, seat.group) and not _excluded(seat, height)]
 
 
-def seat_links(layout: BusLayout, height: HeightClass,
-               seat_ids: Sequence[int] | None = None) -> list[tuple[int, Region, float]]:
-    """(seat id, group, link distance) of each seat at the height class, in order: by
-    default every eligible seat, in one walk of `layout.seats`. Given seats are resolved
-    on the call one at a time, so the first unknown or excluded seat raises, and for one
-    seat an unknown id before an excluded position."""
+def seat_links(layout: BusLayout, height: HeightClass, seat_ids: Sequence[int] | None = None
+               ) -> tuple[list[int], list[Region], list[float]]:
+    """(seat ids, groups, link distances) of the seats at the height class, three lists in
+    link order: by default every eligible seat, in one walk of `layout.seats`. Given seats
+    are resolved on the call one at a time, each with its distance, so the first unknown
+    or excluded seat raises, and for one seat an unknown id before an excluded position."""
     if seat_ids is None:
         seats = (seat for seat in layout.seats if not _excluded(seat, height))
     else:
         seats = map(layout.seat, seat_ids)
-    return [(seat.id, seat.group, _distance(layout, seat, height)) for seat in seats]
+    links = [(seat, _distance(layout, seat, height)) for seat in seats]
+    return [seat.id for seat, _ in links], [seat.group for seat, _ in links], [d for _, d in links]
 
 
 @functools.cache

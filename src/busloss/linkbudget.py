@@ -128,8 +128,8 @@ def rx_power_dbm(config: LinkBudgetConfig, pl_db):
     return config.tx_power_dbm + config.g_tx_dbi + config.g_rx_dbi - pl_db
 
 
-def link_snr(config: LinkBudgetConfig, pl_db: float) -> float:
-    """SNR in dB for a link with the given path loss."""
+def link_snr(config: LinkBudgetConfig, pl_db):
+    """SNR in dB for a link with the given path loss (a float or an array)."""
     return rx_power_dbm(config, pl_db) - noise_floor_dbm(config)
 
 
@@ -148,14 +148,14 @@ def shannon_rate(snr_db: float, bandwidth_hz: float) -> float:
         return bandwidth_hz * snr_db / 10.0 * math.log2(10.0)
 
 
-def _seat_links(layout: BusLayout, models: ModelMap, height: HeightClass,
-                seat_ids: Sequence[int] | None, use_all_model: bool):
-    """(seat id, model, distance, mean path loss) for each seat of seat_links in order."""
-    links = []
-    for seat_id, group, d in seat_links(layout, height, seat_ids):
-        model = models[(Region.ALL if use_all_model else group, height)]
-        links.append((seat_id, model, d, mean_path_loss(model, d)))
-    return links
+def _links(layout: BusLayout, models: ModelMap, height: HeightClass,
+           seat_ids: Sequence[int] | None, use_all_model: bool):
+    """(seat ids, distances, models, mean path losses, sigmas) of the links of
+    seat_links in order; the means and sigmas are arrays."""
+    ids, groups, distances = seat_links(layout, height, seat_ids)
+    link_models = [models[(Region.ALL if use_all_model else g, height)] for g in groups]
+    means = np.array([mean_path_loss(m, d) for m, d in zip(link_models, distances)])
+    return ids, distances, link_models, means, np.array([m.sigma_db for m in link_models])
 
 
 def seat_sweep(
@@ -171,22 +171,11 @@ def seat_sweep(
     budget margin implied by the SNR threshold.
     """
     pl_max = max_path_loss_db(config)
-    reports = []
-    for seat_id, model, d, pl in _seat_links(layout, models, height, None, use_all_model):
-        snr = link_snr(config, pl)
-        reports.append(
-            SeatReport(
-                seat_id=seat_id,
-                height=height,
-                distance_m=d,
-                mean_pl_db=pl,
-                snr_db=snr,
-                rate_bps=shannon_rate(snr, config.bandwidth_hz),
-                coverage_prob=coverage_probability(model, d, pl_max),
-                extrapolated=is_extrapolated(d),
-            )
-        )
-    return reports
+    ids, distances, link_models, means, _ = _links(layout, models, height, None, use_all_model)
+    rows = zip(ids, distances, link_models, means.tolist(), link_snr(config, means).tolist())
+    return [SeatReport(seat_id, height, d, pl, snr, shannon_rate(snr, config.bandwidth_hz),
+                       coverage_probability(model, d, pl_max), is_extrapolated(d))
+            for seat_id, d, model, pl, snr in rows]
 
 
 def _standard_normals(seed: int, n_draws: int, n_links: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -206,12 +195,6 @@ def _standard_normals(seed: int, n_draws: int, n_links: int) -> Iterator[tuple[i
         (start, rng.standard_normal((min(rows, n_draws - start), n_links)))
         for start in range(0, n_draws, rows)
     )
-
-
-def _means_and_sigmas(links) -> tuple[np.ndarray, np.ndarray]:
-    """The mean path loss and shadowing sigma of each link of _seat_links."""
-    return (np.array([pl for _, _, _, pl in links]),
-            np.array([model.sigma_db for _, model, _, _ in links]))
 
 
 def _row_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -277,9 +260,8 @@ def interference_footprint(
     for i, seat_id in enumerate(active_seats):
         if seat_id in active_seats[:i]:
             raise ValueError(f"seat {seat_id} is listed more than once")
-    links = _seat_links(layout, models, height, active_seats, use_all_model)
-    blocks = _standard_normals(seed, n_draws, len(links))
-    means, sigmas = _means_and_sigmas(links)
+    _, _, _, means, sigmas = _links(layout, models, height, active_seats, use_all_model)
+    blocks = _standard_normals(seed, n_draws, len(means))
     noise_mw = 10.0 ** (noise_floor_dbm(config) / 10.0)
     sinr_db = np.empty((len(active_seats), n_draws))
     for start, z in blocks:
@@ -355,14 +337,13 @@ def empirical_coverage(
     z <= _pass_thresholds(...)[j] on the standard normals, which gives the same
     counts without forming the path loss; memory does not grow with n_draws.
     """
-    links = _seat_links(layout, models, height, None, use_all_model)
-    blocks = _standard_normals(seed, n_draws, len(links))
-    thresholds = _pass_thresholds(*_means_and_sigmas(links), max_path_loss_db(config))
-    counts = np.zeros(len(links), dtype=np.int64)
+    ids, _, _, means, sigmas = _links(layout, models, height, None, use_all_model)
+    blocks = _standard_normals(seed, n_draws, len(ids))
+    thresholds = _pass_thresholds(means, sigmas, max_path_loss_db(config))
+    counts = np.zeros(len(ids), dtype=np.int64)
     for _, z in blocks:
         counts += np.count_nonzero(z <= thresholds, axis=0)
-    fractions = counts / n_draws
-    return {seat_id: float(fractions[i]) for i, (seat_id, _, _, _) in enumerate(links)}
+    return dict(zip(ids, (counts / n_draws).tolist()))
 
 
 def reports_to_csv(reports: Sequence[SeatReport]) -> str:

@@ -308,13 +308,13 @@ class TestSynthSamples:
     @pytest.mark.parametrize("height", list(HeightClass))
     def test_seat_samples_draw_at_seat_links(self, height):
         model = builtin_model(Region.ALL, height)
-        links = seat_links(default_layout(), height)
+        ids, groups, distances = seat_links(default_layout(), height)
         got = synth_seat_samples(model, default_layout(), height, seed=7)
-        want = synth_samples(model, [d for _, _, d in links], seed=7)
+        want = synth_samples(model, distances, seed=7)
         assert got.distance_m.tobytes() == want.distance_m.tobytes()
         assert got.path_loss_db.tobytes() == want.path_loss_db.tobytes()
-        assert list(zip(got.seat, got.region, got.distance_m)) == links
-        assert list(got.height) == [height] * len(links)
+        assert (list(got.seat), list(got.region), got.distance_m.tolist()) == (ids, groups, distances)
+        assert list(got.height) == [height] * len(ids)
 
 
 class TestSampleCsv:

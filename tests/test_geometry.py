@@ -183,13 +183,14 @@ class TestSeatLinks:
                           + (z - rx["z"]) ** 2)
             expected.append((seat["id"], Region(seat["group"]), d))
         layout = replace(default_layout(), height_mode=mode)
-        assert seat_links(layout, height) == expected
-        ids = [s for s, _, _ in expected]
-        assert seat_links(layout, height, ids[::-1]) == expected[::-1]
+        ids, groups, distances = map(list, zip(*expected))
+        assert seat_links(layout, height) == (ids, groups, distances)
+        assert seat_links(layout, height, ids[::-1]) == (ids[::-1], groups[::-1], distances[::-1])
 
     def test_given_seats_kept_in_order(self):
-        links = seat_links(default_layout(), HeightClass.UPPER, [14, 2, 30])
-        assert [(s, g) for s, g, _ in links] == [(14, Region.B), (2, Region.A), (30, Region.D)]
+        ids, groups, distances = seat_links(default_layout(), HeightClass.UPPER, [14, 2, 30])
+        assert (ids, groups) == ([14, 2, 30], [Region.B, Region.A, Region.D])
+        assert distances == [link_distance(default_layout(), s, HeightClass.UPPER) for s in ids]
 
     @pytest.mark.parametrize("seats, error", [
         ([14, 99], SeatNotFoundError), ([14, 5], ExcludedPositionError),
@@ -208,9 +209,9 @@ class TestMutatedLayout:
         layout = replace(base, seats=base.seats + (SeatSpec(31, 1.0, 1.0, 0.5, Region.A),))
         assert layout.seat(31).x == 1.0
         for height in HeightClass:
-            assert seat_links(layout, height)[-1] == (
-                31, Region.A, link_distance(layout, 31, height))
-        assert seat_links(layout, HeightClass.UPPER, [31])[0][0] == 31
+            assert [column[-1] for column in seat_links(layout, height)] == [
+                31, Region.A, link_distance(layout, 31, height)]
+        assert seat_links(layout, HeightClass.UPPER, [31])[0] == [31]
 
     def test_replaced_seat_seen(self):
         base = default_layout()
@@ -218,15 +219,15 @@ class TestMutatedLayout:
         rx = layout.rx
         d = math.sqrt((3.0 - rx.x) ** 2 + (0.5 - rx.y) ** 2 + (layout.upper_height_m - rx.z) ** 2)
         assert layout.seat(1).group == Region.B
-        assert seat_links(layout, HeightClass.UPPER)[0] == (1, Region.B, d)
-        assert seat_links(layout, HeightClass.UPPER, [1]) == [(1, Region.B, d)]
+        assert [column[0] for column in seat_links(layout, HeightClass.UPPER)] == [1, Region.B, d]
+        assert seat_links(layout, HeightClass.UPPER, [1]) == ([1], [Region.B], [d])
 
     def test_removed_seat_gone(self):
         base = default_layout()
         layout = replace(base, seats=[seat for seat in base.seats if seat.id != 14])
         with pytest.raises(SeatNotFoundError, match="no seat with id 14"):
             seat_links(layout, HeightClass.UPPER, [14])
-        assert 14 not in [s for s, _, _ in seat_links(layout, HeightClass.UPPER)]
+        assert 14 not in seat_links(layout, HeightClass.UPPER)[0]
 
 
 class TestLayoutIo:
