@@ -10,6 +10,7 @@ changes.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -24,6 +25,7 @@ from .models import (
     float_field,
     float_record,
     int_field,
+    json_field,
     load_json_object,
     tag_field,
 )
@@ -210,30 +212,35 @@ _SEAT_READERS = {
 }
 
 
+def _seat_where(seat, i: int) -> str:
+    """'seat <id>: ' for a seat object with an integer id, else 'seats[<i>]: '."""
+    if isinstance(seat, dict):
+        with contextlib.suppress(ValueError):
+            return f"seat {int_field(seat, 'id')}: "
+    return f"seats[{i}]: "
+
+
 def _seats(obj: dict, name: str, _) -> list[SeatSpec]:
-    seats = [float_record(SeatSpec, s, f"seat {int_field(s, 'id')}: ", _SEAT_READERS)
-             for s in obj[name]]
-    if not seats:
+    seats = json_field(obj, name)
+    if not isinstance(seats, list) or not seats:
         raise ValueError(f"field {name!r} must list at least one seat")
-    return seats
+    return [float_record(SeatSpec, s, _seat_where(s, i), _SEAT_READERS) for i, s in enumerate(seats)]
 
 
 _LAYOUT_READERS = {
-    "rx": lambda obj, name, _: float_record(Point3, obj[name], "rx: "),
+    "rx": lambda obj, name, _: float_record(Point3, json_field(obj, name), "rx: "),
     "seats": _seats,
     "height_mode": lambda obj, name, default: str(obj.get(name, default)),
 }
 
 
 def layout_from_dict(obj: dict) -> BusLayout:
-    """The BusLayout, its rx Point3 and each SeatSpec read by float_record, so that a
-    bad value or an unknown key is named; the layout must list at least one seat."""
+    """The BusLayout, its rx Point3 and each SeatSpec read by float_record, so that every
+    fault, a LayoutError, names its field and where it is (see _seat_where)."""
     try:
         return float_record(BusLayout, obj, readers=_LAYOUT_READERS)
-    except KeyError as exc:
-        raise LayoutError(f"missing field {exc}") from None
-    except TypeError as exc:
-        raise LayoutError(f"a field has the wrong type: {exc}") from None
+    except ValueError as exc:
+        raise LayoutError(str(exc)) from None
 
 
 def load_layout(path: str | Path) -> BusLayout:

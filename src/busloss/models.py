@@ -266,10 +266,17 @@ def model_to_dict(model: PathLossModel) -> dict:
     }
 
 
+def json_field(obj: dict, name: str, default=MISSING):
+    """obj[name], or default if given and absent; ValueError naming an absent field with no default."""
+    if default is MISSING and name not in obj:
+        raise ValueError(f"missing field {name!r}")
+    return obj.get(name, default)
+
+
 def float_field(obj: dict, name: str, default=MISSING) -> float:
-    """obj[name] as a float, or default if given and absent; ValueError if it is
-    not an int or float (a bool, text or null) or is NaN."""
-    value = obj[name] if default is MISSING else obj.get(name, default)
+    """json_field(obj, name, default) as a float; ValueError if it is not an int or
+    float (a bool, text or null) or is NaN."""
+    value = json_field(obj, name, default)
     try:
         if isinstance(value, (int, float)) and not isinstance(value, bool) and not math.isnan(value):
             return float(value)
@@ -284,23 +291,29 @@ def _field_defaults(cls) -> dict[str, object]:
 
 
 def float_record(cls, obj: dict, where: str = "", readers: Mapping[str, Callable] = {}):
-    """cls(...) with each dataclass field read from obj in field order, by
+    """cls(...) with each dataclass field read from obj, a dict, in field order, by
     readers[name](obj, name, default) or else float_field; default is the field's
-    dataclass default (MISSING if it has none), taken when the field is absent.
-    Then the first key of obj that is not a field raises a ValueError naming it."""
+    dataclass default (MISSING if it has none), taken when the field is absent. Then the
+    first key of obj that is not a field raises a ValueError naming it. Every ValueError
+    (a non-dict obj, a field, cls) is raised again, of its class, with where before it."""
     defaults = _field_defaults(cls)
-    record = cls(**{name: readers.get(name, float_field)(obj, name, default)
-                    for name, default in defaults.items()})
-    for key in obj:
-        if key not in defaults:
-            raise ValueError(f"{where}unknown field {key!r}")
+    try:
+        if not isinstance(obj, dict):
+            raise ValueError(f"must be a JSON object, not {type(obj).__name__}")
+        record = cls(**{name: readers.get(name, float_field)(obj, name, default)
+                        for name, default in defaults.items()})
+        for key in obj:
+            if key not in defaults:
+                raise ValueError(f"unknown field {key!r}")
+    except ValueError as exc:
+        raise type(exc)(f"{where}{exc}") from None
     return record
 
 
 def tag_field(obj: dict, name: str, default=MISSING, tags: Iterable[Enum] = ()) -> Enum | None:
-    """The one of tags whose value is obj[name], or default if given and absent; JSON
-    null gives a default of None. Any other value raises a ValueError naming the field."""
-    value = obj[name] if default is MISSING else obj.get(name, default)
+    """The one of tags whose value is json_field(obj, name, default); JSON null gives a
+    default of None. Any other value raises a ValueError naming the field."""
+    value = json_field(obj, name, default)
     if value is None and default is None:
         return None
     for tag in tags:
@@ -342,8 +355,6 @@ def load_json_object(path: str | Path, kind: str, from_dict, error=ValueError):
         raise error(f"{path}: {kind} must be a JSON object, not {type(obj).__name__}")
     try:
         return from_dict(obj)
-    except KeyError as exc:
-        raise error(f"{path}: bad {kind} (missing field {exc})") from None
     except ValueError as exc:
         raise error(f"{path}: bad {kind} ({exc})") from None
 

@@ -246,7 +246,7 @@ class TestJsonInputs:
         path.write_text(json.dumps(obj))
         code, out, err = run(capsys, "sweep", "--height", "lower", "--layout", str(path))
         assert (code, out) == (2, "")
-        assert err == f"error: {path}: bad layout (field {field!r} {message})\n"
+        assert err == f"error: {path}: bad layout (seat 1: field {field!r} {message})\n"
 
     @staticmethod
     def _misspell_seat_5_flag(obj):
@@ -260,7 +260,16 @@ class TestJsonInputs:
         (lambda obj: obj["rx"].update(zz=1.0), "rx: unknown field 'zz'"),
         (lambda obj: obj.pop("seats"), "missing field 'seats'"),
         (lambda obj: obj.update(seats=[]), "field 'seats' must list at least one seat"),
-    ], ids=["misspelt-seat-flag", "seat-extra", "top-extra", "rx-extra", "no-seats", "empty-seats"])
+        (lambda obj: obj.update(seats=5), "field 'seats' must list at least one seat"),
+        (lambda obj: obj.update(rx=[1, 2, 3]), "rx: must be a JSON object, not list"),
+        (lambda obj: obj["rx"].pop("x"), "rx: missing field 'x'"),
+        (lambda obj: obj["seats"].insert(2, "abc"), "seats[2]: must be a JSON object, not str"),
+        (lambda obj: obj["seats"][2].pop("id"), "seats[2]: missing field 'id'"),
+        (lambda obj: obj["seats"][2].update(id="3"), "seats[2]: field 'id' must be a number, got '3'"),
+        (lambda obj: obj["seats"][4].update(x="a"), "seat 5: field 'x' must be a number, got 'a'"),
+    ], ids=["misspelt-seat-flag", "seat-extra", "top-extra", "rx-extra", "no-seats", "empty-seats",
+            "seats-number", "rx-list", "rx-no-x", "seat-text", "seat-no-id", "seat-text-id",
+            "seat-text-x"])
     def test_layout_unknown_field_or_no_seats_exit_2(self, capsys, tmp_path, edit, message):
         # Seat 5 has no lower position, so the misspelt flag would list it.
         path = tmp_path / "layout.json"

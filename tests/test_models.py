@@ -379,7 +379,7 @@ class TestInputHelpers:
             b: float = 2.0
 
         assert float_record(Record, {"a": 1}) == Record(1.0, 2.0)
-        with pytest.raises(KeyError, match="'a'"):
+        with pytest.raises(ValueError, match="^missing field 'a'$"):
             float_record(Record, {"b": 3.0})
         with pytest.raises(ValueError, match="field 'a'"):
             float_record(Record, {"a": "x", "b": "y"})
@@ -411,7 +411,7 @@ class TestInputHelpers:
         assert tag_field({"g": "B"}, "g", tags=tags) is Region.B
         assert tag_field({}, "g", None, tags) is None
         assert tag_field({"g": None}, "g", None, tags) is None
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="^missing field 'g'$"):
             tag_field({}, "g", tags=tags)
         for value in ("All", "b", None, 1, ["A"]):
             with pytest.raises(ValueError) as exc:
