@@ -5,6 +5,7 @@ writer wrote."""
 import contextlib
 import io
 import json
+import math
 import shutil
 from importlib import resources
 
@@ -31,12 +32,12 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def run_cli(argv):
-    """(exit code, stderr) of an in-process CLI call. An exception escaping
+    """(exit code, stdout, stderr) of an in-process CLI call. An exception escaping
     main, which would print a traceback, fails the calling test."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -109,10 +110,83 @@ def test_any_json_input_exits_cleanly(workdir, kind):
     @given(contents)
     def check(value):
         path.write_text(json.dumps(value))
-        code, err = run_cli([a.format(f=path, w=workdir) for a in argv])
+        code, _, err = run_cli([a.format(f=path, w=workdir) for a in argv])
         assert code in (0, 2, 3, 4)
         if code != 0:
             assert str(path) in err
+
+    check()
+
+
+# The range of each number field of a budget and of a model, ends included; with
+# them, a budget must also keep a link's SNR at no path loss to at most 200 dB.
+BUDGET_RANGES = {**dict.fromkeys(BUDGET_FIELDS[:3], (-300.0, 300.0)), "bandwidth_hz": (0.0, 1e12),
+                 "noise_figure_db": (0.0, 300.0), "snr_threshold_db": (-math.inf, math.inf)}
+MODEL_RANGES = {"alpha_db": (-1000.0, 1000.0), "beta": (-100.0, 100.0), "sigma_db": (0.0, 100.0)}
+MODEL_TAGS = {"region": [None, *(r.value for r in Region)],
+              "height": [None, *(h.value for h in HeightClass)]}
+
+
+# Numbers past every field range, whose products, squares and powers leave the doubles.
+extreme_numbers = st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 1e308,
+                                   -1e308, 1e155, -1e155, 5e-324, 1e12 + 1])
+
+
+@st.composite
+def budgets_or_models(draw, ranges, tags={}):
+    """Every number field in its range and each tag valid or absent; then, half the
+    time, one field replaced by a number past every range, or by any JSON value."""
+    obj = draw(st.fixed_dictionaries(
+        {name: st.floats(*ends) for name, ends in ranges.items()},
+        optional={name: st.sampled_from(values) for name, values in tags.items()}))
+    if draw(st.booleans()):
+        obj[draw(st.sampled_from([*ranges, *tags]))] = draw(
+            extreme_numbers | st.floats() | json_values)
+    return obj
+
+
+FOOTPRINT = ["footprint", "--height", "upper", "--active", "14,2,30", "--seed", "1",
+             "--draws", "40", "--config", "{f}"]
+SWEEP = ["sweep", "--height", "lower", "--config", "{f}"]
+GRID = ["--distances", "0.25:16:0.25"]
+
+# kind: (file contents, argvs that read the file as {f}).
+FINITE_CASES = {
+    "budget": (budgets_or_models(BUDGET_RANGES),
+               [SWEEP, SWEEP + ["--format", "json"], FOOTPRINT, FOOTPRINT + ["--format", "json"]]),
+    "model": (budgets_or_models(MODEL_RANGES, MODEL_TAGS),
+              [["eval", "--model", "{f}", *GRID],
+               ["compare", "--model-a", "All/upper", "--model-b", "{f}", *GRID],
+               ["synth", "--model", "{f}", "--height", "upper", "--seed", "1"]]),
+}
+
+
+def _no_constant(name):
+    raise ValueError(f"JSON output holds {name}")
+
+
+@pytest.mark.parametrize("kind", sorted(FINITE_CASES))
+def test_any_json_input_gives_finite_output(workdir, kind):
+    """Exit 0, 2 or 4, and on exit 0 every number printed is finite: each CSV
+    cell float() reads, and JSON output parses with no NaN or Infinity."""
+    contents, argvs = FINITE_CASES[kind]
+    path = workdir / f"finite_{kind}.json"
+
+    @settings(PROPERTY, max_examples=200)
+    @given(contents)
+    def check(value):
+        path.write_text(json.dumps(value))
+        for argv in argvs:
+            code, out, err = run_cli([a.format(f=path) for a in argv])
+            assert code in (0, 2, 4), err
+            if code != 0:
+                continue
+            if "json" in argv:
+                json.loads(out, parse_constant=_no_constant)
+                continue
+            for cell in out.replace("\n", ",").split(","):
+                with contextlib.suppress(ValueError):  # a header or tag cell
+                    assert math.isfinite(float(cell)), (argv, cell)
 
     check()
 
@@ -203,7 +277,7 @@ def test_any_sample_csv_exits_cleanly(tmp_path, by_group):
     @given(sample_csv_texts())
     def check(text):
         path.write_text(text)
-        code, err = run_cli(["fit", path, *by_group])
+        code, _, err = run_cli(["fit", path, *by_group])
         assert code in (0, 2, 3)
         if code == 2:
             assert err.startswith(f"error: {path}")
@@ -233,7 +307,7 @@ def test_any_sweep_rows_exit_cleanly(tmp_path):
         (entry / "meta.json").write_text('{"seat": 14, "height": "upper"}')
         for k, sweep in enumerate(rows):
             (entry / f"sweep_{k}.csv").write_text("delay_ns,power_db\n" + "\n".join(sweep))
-        code, err = run_cli(["process", root, cal])
+        code, _, err = run_cli(["process", root, cal])
         assert code in (0, 2)
         if code == 2:
             assert err.startswith((f"error: {entry}", "error: 14_upper: "))
@@ -260,7 +334,7 @@ def test_any_bytes_exit_cleanly(tmp_path, reader):
     @given(st.binary() | st.binary().map(lambda data: header + data))
     def check(data):
         path.write_bytes(data)
-        code, err = run_cli(argv)
+        code, _, err = run_cli(argv)
         assert code in (0, 2, 3)
         if code == 2:
             assert err.startswith((f"error: {path}", "error: 14_upper: "))
