@@ -150,8 +150,7 @@ def shannon_rate(snr_db: float, bandwidth_hz: float) -> float:
 
 def _links(layout: BusLayout, models: ModelMap, height: HeightClass,
            seat_ids: Sequence[int] | None, use_all_model: bool):
-    """(seat ids, distances, models, mean path losses, sigmas) of the links of
-    seat_links in order; the means and sigmas are arrays."""
+    """(ids, distances, models, mean path loss array, sigma array) of seat_links's links."""
     ids, groups, distances = seat_links(layout, height, seat_ids)
     link_models = [models[(Region.ALL if use_all_model else g, height)] for g in groups]
     means = np.array([mean_path_loss(m, d) for m, d in zip(link_models, distances)])
@@ -173,8 +172,10 @@ def seat_sweep(
     pl_max = max_path_loss_db(config)
     ids, distances, link_models, means, _ = _links(layout, models, height, None, use_all_model)
     rows = zip(ids, distances, link_models, means.tolist(), link_snr(config, means).tolist())
-    return [SeatReport(seat_id, height, d, pl, snr, shannon_rate(snr, config.bandwidth_hz),
-                       coverage_probability(model, d, pl_max), is_extrapolated(d))
+    return [SeatReport(seat_id=seat_id, height=height, distance_m=d, mean_pl_db=pl, snr_db=snr,
+                       rate_bps=shannon_rate(snr, config.bandwidth_hz),
+                       coverage_prob=coverage_probability(model, d, pl_max),
+                       extrapolated=is_extrapolated(d))
             for seat_id, d, model, pl, snr in rows]
 
 

@@ -267,7 +267,7 @@ def model_to_dict(model: PathLossModel) -> dict:
 
 
 def json_field(obj: dict, name: str, default=MISSING):
-    """obj[name], or default if given and absent; ValueError naming an absent field with no default."""
+    """obj[name], or default if given and absent; ValueError if absent with no default."""
     if default is MISSING and name not in obj:
         raise ValueError(f"missing field {name!r}")
     return obj.get(name, default)

@@ -127,7 +127,8 @@ MODEL_TAGS = {"region": [None, *(r.value for r in Region)],
               "height": [None, *(h.value for h in HeightClass)]}
 
 
-# Numbers past every field range, whose products, squares and powers leave the doubles.
+# Numbers at the ends of the doubles, whose products, squares and powers overflow or
+# underflow; all but 5e-324 lie past every field range.
 extreme_numbers = st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 1e308,
                                    -1e308, 1e155, -1e155, 5e-324, 1e12 + 1])
 
