@@ -14,8 +14,11 @@ side's median, the per-pair ratios change/parent and their median: traced
 layer times are raw seconds, and a ratio within one pair cancels the host
 drift that a single absolute number carries. The list of ratios shows whether
 a layer target is resolved: a ±15% target is not when the ratios straddle it. Per workload and end-to-end
-metric, stderr gets each side's median and the number of pairs the change won,
-then the summary's time layers.
+metric, stderr gets each side's quartiles, the number of pairs the change won,
+and whether that shows a gain: the change won at least nine tenths of the
+pairs, ties counting for neither, and its median is better than the parent's
+by more than the parent's interquartile range. Then come the summary's time
+layers.
 """
 
 import argparse
@@ -66,6 +69,49 @@ def summarise(records: list[dict], layers: list[str]) -> dict:
     return summary
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile) of values, interpolated linearly
+    between order statistics as numpy's default percentile is."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def verdict(parent: list[float], change: list[float], better: str) -> dict:
+    """The end-to-end judgement of one metric over pairs of runs (parent[i],
+    change[i]): each side's quartiles, the pairs the change won (ties count for
+    neither), the gap between the medians (positive when the change is better)
+    and the parent's IQR, and whether the change shows a gain: it won at least
+    nine tenths of the pairs and the gap is wider than the parent's IQR."""
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    sides = {"parent": quartiles(parent), "change": quartiles(change)}
+    gap = sign * (sides["parent"][1] - sides["change"][1])
+    iqr = sides["parent"][2] - sides["parent"][0]
+    return {**sides, "wins": wins, "pairs": len(parent), "gap": gap, "parent_iqr": iqr,
+            "gain": 10 * wins >= 9 * len(parent) and gap > iqr}
+
+
+def e2e_lines(records: list[dict], workloads: list[str], end_to_end: list[dict]) -> list[str]:
+    """One line per workload and end-to-end metric of the untraced pairs: the
+    verdict of the metric's change against its parent."""
+    lines, records = [], sorted(records, key=lambda r: r["seed"])  # pairs by seed
+    for w in workloads:
+        for metric in end_to_end:
+            name = metric["name"]
+            parent, change = ([r["result"]["metrics"][name]["value"] for r in records
+                               if (r["workload"], r["trace"], r["checkout"]) == (w, 0, label)]
+                              for label in ("parent", "change"))
+            v = verdict(parent, change, metric["better"])
+            p, c = ("{:.4g} [{:.4g}, {:.4g}]".format(q[1], q[0], q[2])
+                    for q in (v["parent"], v["change"]))
+            lines.append(f"{w} {name}: median [quartiles] parent {p}, change {c} "
+                         f"{metric['unit']}; change better in {v['wins']} of {v['pairs']} "
+                         f"pairs; {'gain' if v['gain'] else 'no gain'} (median gap "
+                         f"{v['gap']:.4g}, parent IQR {v['parent_iqr']:.4g})")
+    return lines
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=Path, required=True)
@@ -89,17 +135,8 @@ def main() -> None:
     summary = summarise(records, [m["name"] for m in spec["per_layer"]])
     args.output.write_text(json.dumps({"records": records, "summary": summary}, indent=1) + "\n")
 
-    for w in workloads:
-        for metric in spec["end_to_end"]:
-            name = metric["name"]
-            runs = {label: [r["result"]["metrics"][name]["value"] for r in records
-                            if (r["workload"], r["trace"], r["checkout"]) == (w, 0, label)]
-                    for label, _ in sides}
-            sign = 1 if metric["better"] == "lower" else -1
-            wins = sum(sign * (c - p) < 0 for p, c in zip(runs["parent"], runs["change"]))
-            print(f"{w} {name}: median parent {statistics.median(runs['parent']):.4g}, "
-                  f"change {statistics.median(runs['change']):.4g} {metric['unit']}; "
-                  f"change better in {wins} of {len(runs['change'])} pairs", file=sys.stderr)
+    for line in e2e_lines(records, workloads, spec["end_to_end"]):
+        print(line, file=sys.stderr)
     for w, layers in summary.items():
         for name, v in layers.items():
             if name.endswith(".s") and v["change_over_parent"] is not None:

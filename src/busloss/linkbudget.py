@@ -19,8 +19,8 @@ from .models import (
     HeightClass,
     PathLossModel,
     Region,
+    _coverage,
     check_ranges,
-    coverage_probability,
     csv_text,
     is_extrapolated,
     mean_path_loss,
@@ -150,11 +150,11 @@ def shannon_rate(snr_db: float, bandwidth_hz: float) -> float:
 
 def _links(layout: BusLayout, models: ModelMap, height: HeightClass,
            seat_ids: Sequence[int] | None, use_all_model: bool):
-    """(ids, distances, models, mean path loss array, sigma array) of seat_links's links."""
+    """(ids, distances, mean path loss array, sigma array) of seat_links's links."""
     ids, groups, distances = seat_links(layout, height, seat_ids)
     link_models = [models[(Region.ALL if use_all_model else g, height)] for g in groups]
     means = np.array([mean_path_loss(m, d) for m, d in zip(link_models, distances)])
-    return ids, distances, link_models, means, np.array([m.sigma_db for m in link_models])
+    return ids, distances, means, np.array([m.sigma_db for m in link_models])
 
 
 def seat_sweep(
@@ -170,13 +170,13 @@ def seat_sweep(
     budget margin implied by the SNR threshold.
     """
     pl_max = max_path_loss_db(config)
-    ids, distances, link_models, means, _ = _links(layout, models, height, None, use_all_model)
-    rows = zip(ids, distances, link_models, means.tolist(), link_snr(config, means).tolist())
+    ids, distances, means, sigmas = _links(layout, models, height, None, use_all_model)
+    rows = zip(ids, distances, means.tolist(), sigmas.tolist(), link_snr(config, means).tolist())
     return [SeatReport(seat_id=seat_id, height=height, distance_m=d, mean_pl_db=pl, snr_db=snr,
                        rate_bps=shannon_rate(snr, config.bandwidth_hz),
-                       coverage_prob=coverage_probability(model, d, pl_max),
+                       coverage_prob=_coverage(pl, sigma, pl_max),
                        extrapolated=is_extrapolated(d))
-            for seat_id, d, model, pl, snr in rows]
+            for seat_id, d, pl, sigma, snr in rows]
 
 
 def _standard_normals(seed: int, n_draws: int, n_links: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -261,7 +261,7 @@ def interference_footprint(
     for i, seat_id in enumerate(active_seats):
         if seat_id in active_seats[:i]:
             raise ValueError(f"seat {seat_id} is listed more than once")
-    _, _, _, means, sigmas = _links(layout, models, height, active_seats, use_all_model)
+    _, _, means, sigmas = _links(layout, models, height, active_seats, use_all_model)
     blocks = _standard_normals(seed, n_draws, len(means))
     noise_mw = 10.0 ** (noise_floor_dbm(config) / 10.0)
     sinr_db = np.empty((len(active_seats), n_draws))
@@ -338,7 +338,7 @@ def empirical_coverage(
     z <= _pass_thresholds(...)[j] on the standard normals, which gives the same
     counts without forming the path loss; memory does not grow with n_draws.
     """
-    ids, _, _, means, sigmas = _links(layout, models, height, None, use_all_model)
+    ids, _, means, sigmas = _links(layout, models, height, None, use_all_model)
     blocks = _standard_normals(seed, n_draws, len(ids))
     thresholds = _pass_thresholds(means, sigmas, max_path_loss_db(config))
     counts = np.zeros(len(ids), dtype=np.int64)

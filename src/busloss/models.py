@@ -24,7 +24,7 @@ from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from itertools import compress, count, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -47,12 +47,18 @@ class Region(Enum):
     D = "D"
     ALL = "All"
 
+    # Enum equality is identity, so the identity hash agrees with it and spares each
+    # dict lookup Enum's Python-level hash(self._name_).
+    __hash__ = object.__hash__
+
 
 class HeightClass(Enum):
     """Transmitter height class: hand-held (lower) or head-worn (upper)."""
 
     LOWER = "lower"
     UPPER = "upper"
+
+    __hash__ = object.__hash__  # as Region's
 
 
 # The range of a dB power or gain field of a link budget or a calibration.
@@ -150,10 +156,14 @@ def sample_path_loss(
 
 def coverage_probability(model: PathLossModel, d: float, l_max: float) -> float:
     """P(path loss <= l_max) under the Gaussian shadowing term."""
-    mean = mean_path_loss(model, d)
-    if model.sigma_db == 0.0:
+    return _coverage(mean_path_loss(model, d), model.sigma_db, l_max)
+
+
+def _coverage(mean: float, sigma: float, l_max: float) -> float:
+    """P(mean + sigma*Z <= l_max) for a standard normal Z."""
+    if sigma == 0.0:
         return 1.0 if l_max >= mean else 0.0
-    z = (l_max - mean) / model.sigma_db
+    z = (l_max - mean) / sigma
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
@@ -359,9 +369,22 @@ def load_json_object(path: str | Path, kind: str, from_dict, error=ValueError):
         raise error(f"{path}: bad {kind} ({exc})") from None
 
 
+# Rows csv_text joins and read_csv converts at a time. A block's row strings and
+# cell lists live only while it is joined or converted, so they stay a small
+# share of the text's memory: on a 2e5-row tagged sample file, a list of every
+# row string or line took about twice the text's memory.
+CSV_BLOCK_ROWS = 8192
+
+
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    """CSV with a header line and "\n" line ends; no cell may need quoting."""
-    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+    """CSV with a header line and "\n" line ends; no cell may need quoting. Rows are
+    joined CSV_BLOCK_ROWS at a time, and then the blocks, so no string of every
+    row is held at once."""
+    rows, blocks = iter(rows), [",".join(header)]
+    while block := list(islice(rows, CSV_BLOCK_ROWS)):
+        blocks.append("\n".join(map(",".join, block)))
+    blocks.append("")  # the last line end: text + "\n" would copy the whole text
+    return "\n".join(blocks)
 
 
 def float_cells(values: np.ndarray) -> Iterable[str]:
@@ -441,10 +464,9 @@ def first_fault(rules) -> tuple[int, str] | None:
     return min(faults, key=lambda fault: fault[0], default=None)
 
 
-# Rows read_csv converts at a time. A block's cell lists live only while
-# it is converted, so they stay a small share of the text's memory; parsing a
-# 2e5-row sample file in one block took 65% more peak memory.
-CSV_BLOCK_ROWS = 8192
+# Characters of text read_csv splits into lines at a time, about 11,000 rows of
+# a tagged sample file, so that only one chunk's lines are held as strings.
+_CSV_CHUNK_CHARS = 1 << 19
 
 # The characters str.strip() removes (str.isspace), and the comma: a row of
 # only these is blank.
@@ -489,6 +511,19 @@ def _loadtxt_columns(body: str, width: int) -> list[np.ndarray] | None:
     return list(table.T) if table.shape[1] == width else None
 
 
+def _line_blocks(text: str, start: int) -> Iterator[list[str]]:
+    """The lines of text[start:], split at line feeds, in lists of at most
+    CSV_BLOCK_ROWS, framed from about _CSV_CHUNK_CHARS characters at a time."""
+    while True:
+        end = text.find("\n", start + _CSV_CHUNK_CHARS)
+        lines = text[start:len(text) if end < 0 else end].split("\n")
+        for i in range(0, len(lines), CSV_BLOCK_ROWS):
+            yield lines[i:i + CSV_BLOCK_ROWS]
+        if end < 0:
+            return
+        start = end + 1
+
+
 def read_csv(text: str, source, kind: str, columns: Sequence[str], record,
              tags: Mapping[str, Callable] = {}, error=ValueError):
     """The inverse of csv_text: record(*float arrays of the columns, **a TagColumn
@@ -506,7 +541,9 @@ def read_csv(text: str, source, kind: str, columns: Sequence[str], record,
     column and only the bytes of _NUMERIC_BYTES is built from one np.loadtxt call.
     Every other body, and every fault, takes the block path: rows are framed and
     converted CSV_BLOCK_ROWS at a time by C-level string operations, with no Python
-    step per row or cell."""
+    step per row or cell, from lines split about _CSV_CHUNK_CHARS characters at a
+    time; the arrays are sized by the count of line feeds. Only a fault splits the
+    whole text, to find its line."""
     if not text:
         raise error(f"{source}: empty {kind} file")
     head = text.partition("\n")[0]
@@ -524,14 +561,13 @@ def read_csv(text: str, source, kind: str, columns: Sequence[str], record,
         if arrays is not None:
             with contextlib.suppress(ValueError):  # the block path names the faulting line
                 return record(*arrays)
-    lines = text.split("\n")
-    arrays, done = [np.empty(len(lines) - 1) for _ in columns], 0
-    found = {name: np.empty(len(lines) - 1, np.intp) for name in names}
+    n_lines = text.count("\n")  # the lines of the body, which hold its rows
+    arrays, done = [np.empty(n_lines) for _ in columns], 0
+    found = {name: np.empty(n_lines, np.intp) for name in names}
     tables = {name: {} for name in names}  # cell -> code
     distinct = {name: {} for name in names}  # tag -> code
     stop = None  # the fault of the row after the rows read
-    for start in range(1, len(lines), CSV_BLOCK_ROWS):
-        block = lines[start:start + CSV_BLOCK_ROWS]
+    for block in _line_blocks(text, len(head) + 1):
         block = list(compress(block, map(str.strip, block, repeat(_BLANK_CHARS))))
         commas = np.fromiter(map(str.count, block, repeat(",")), int, len(block))
         wrong = np.flatnonzero(commas != width - 1)
@@ -570,7 +606,7 @@ def read_csv(text: str, source, kind: str, columns: Sequence[str], record,
                for name in names if _BAD_TAG in tables[name].values()]
     if faults:
         row, message = min(faults, key=lambda fault: fault[0])
-        kept = compress(count(2), map(str.strip, islice(lines, 1, None), repeat(_BLANK_CHARS)))
+        kept = compress(count(2), map(str.strip, text.split("\n")[1:], repeat(_BLANK_CHARS)))
         line = next(islice(kept, row, None), None)
         raise error(f"{source}: {message}" if line is None else f"{source}:{line}: {message}")
     return built

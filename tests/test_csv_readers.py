@@ -5,8 +5,9 @@ row by row: what each returns, and which `file:line` message each raises.
 - `tests/golden/csv_readers.json` records, for a seeded corpus of generated
   texts, the exact arrays, tags or message each reader gave.
 - The property takes a recorded text, inserts blank rows and shrinks the
-  reader's row block, and expects the recorded result, with each line number
-  moved past the inserted rows.
+  reader's row block and, mostly to a few characters, the chunk it splits
+  into lines, and expects the recorded result, with each line number moved
+  past the inserted rows.
 - A second property reads numeric texts with `read_csv`'s one-call loadtxt
   path on and forced off, and expects bit-identical arrays or the same message.
 - Each row rule of `PdpRecord` and `SampleSet` is stated once, in the record:
@@ -209,11 +210,14 @@ def padded_cases(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(padded_cases(), st.integers(1, 5))
-def test_padded_cases_match_record_at_any_block_size(padded, block_rows):
+@given(padded_cases(), st.integers(1, 5),
+       st.one_of(st.integers(1, 8), st.just(models._CSV_CHUNK_CHARS)))
+def test_padded_cases_match_record_at_any_block_size(padded, block_rows, chunk_chars):
+    # A chunk of a few characters frames a line or two at a time.
     reader, text, want = padded
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "CSV_BLOCK_ROWS", block_rows)
+        mp.setattr(models, "_CSV_CHUNK_CHARS", chunk_chars)
         assert encoded(read(reader, text, tmp)) == want
 
 

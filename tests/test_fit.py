@@ -1,5 +1,6 @@
 """Tests for least-squares model fitting and synthetic sample generation."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from busloss.fit import (
+    SAMPLE_TAGS,
     DegenerateDataError,
     InsufficientDataError,
     SampleSet,
@@ -22,6 +24,7 @@ from busloss.fit import (
 )
 from busloss.geometry import default_layout, seat_links
 from busloss.models import (
+    CSV_BLOCK_ROWS,
     HeightClass,
     PathLossModel,
     Region,
@@ -29,6 +32,7 @@ from busloss.models import (
     builtin_models,
     mean_path_loss,
 )
+from test_linkbudget import traced_peak
 
 
 def noiseless_samples(model, distances):
@@ -387,3 +391,49 @@ class TestSampleCsv:
         text = f"distance_m,path_loss_db\n1.0,85.0\n2.0,{value}\n3.0,95.0\n"
         with pytest.raises(ValueError, match="x.csv:3: path loss must be finite"):
             samples_from_csv(text, source="x.csv")
+
+
+class TestSampleCsvMemory:
+    """Memory, not time: writing or reading a sample CSV holds the text and the
+    columns, and Python strings for one block of rows at a time, never a string
+    or a list entry for every row."""
+
+    N = 200_000  # the sample_roundtrip size
+
+    @classmethod
+    def setup_class(cls):
+        rng = np.random.default_rng(11)
+        ids, groups, distances = seat_links(default_layout(), HeightClass.UPPER)
+        pick = rng.integers(len(ids), size=cls.N)
+        cls.samples = SampleSet(
+            np.array(distances)[pick] + rng.uniform(-0.1, 0.1, cls.N),
+            80.0 + rng.normal(0.0, 3.0, cls.N),
+            seat=[ids[i] for i in pick], region=[groups[i] for i in pick],
+            height=[HeightClass.UPPER, HeightClass.LOWER] * (cls.N // 2))
+        cls.text = samples_to_csv(cls.samples)
+        samples_from_csv(cls.text[:1000].rpartition("\n")[0])  # one-off state
+
+    def block_allowance(self) -> int:
+        # One block of rows, CSV_BLOCK_ROWS lines of the text's mean length, held
+        # as strings several times over: the lines, their cells or row tuples, and
+        # a str header of about 50 bytes for each (a line here is about 47 characters).
+        return 16 * CSV_BLOCK_ROWS * len(self.text) // self.N
+
+    def test_read_peak(self):
+        peak = traced_peak(lambda: samples_from_csv(self.text))
+        s = samples_from_csv(self.text)
+        columns = s.distance_m.nbytes + s.path_loss_db.nbytes + sum(
+            getattr(s, name).codes.nbytes for name in SAMPLE_TAGS)
+        # read_csv's float arrays, which the record copies, and a few bytes a row
+        # of the rules' masks.
+        assert peak < columns + 16 * self.N + 8 * self.N + self.block_allowance()
+
+    def test_write_peak(self):
+        peak = traced_peak(lambda: samples_to_csv(self.samples))
+        n, text = self.N, len(self.text)
+        # While rows are joined: the blocks so far, the Python float of each float
+        # cell (an object and a list entry, 32 bytes) and an object array entry per
+        # tag cell. At the end: the blocks and the text they join into, after the
+        # floats are freed.
+        cells = 2 * (sys.getsizeof(0.0) + 8) + 3 * 8
+        assert peak < max(text + cells * n, 2 * text + 3 * 8 * n) + self.block_allowance()

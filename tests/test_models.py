@@ -172,6 +172,13 @@ class TestRegistry:
             assert builtin_model(*key) is builtin_registry()[key]
         assert all(m is builtin_model(m.region, m.height) for m in builtin_models())
 
+    def test_tags_hash_by_identity(self):
+        # Members are singletons compared by identity, so the identity hash agrees
+        # with equality; Enum's hash(self._name_) made each registry lookup and each
+        # TagColumn.of pass a Python-level call per tag.
+        for tag in [*Region, *HeightClass]:
+            assert hash(tag) == object.__hash__(tag)
+
     def test_registry_copy_is_the_callers(self):
         key = (Region.ALL, HeightClass.LOWER)
         registry = builtin_registry()

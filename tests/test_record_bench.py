@@ -2,6 +2,7 @@
 benchmark is run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,56 @@ def test_traced_seeds_beyond_the_seeds_rejected(capsys, tmp_path, monkeypatch):
         record_bench.main()
     assert exc.value.code == 2
     assert "--traced-seeds must be in [1, 2]" in capsys.readouterr().err
+
+
+# The parent's runs 10..19 have quartiles 12.25 and 16.75, so an IQR of 4.5.
+PARENT = [float(v) for v in range(10, 20)]
+
+
+def test_quartiles_interpolate_between_runs():
+    assert record_bench.quartiles(PARENT) == (12.25, 14.5, 16.75)
+    assert record_bench.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
+def test_gain_needs_nine_tenths_of_pairs_and_a_gap_wider_than_the_parent_iqr():
+    # Each change run 5 below its parent's: 10 of 10 wins and a gap of 5 > 4.5.
+    v = record_bench.verdict(PARENT, [p - 5.0 for p in PARENT], "lower")
+    assert (v["wins"], v["pairs"], v["gap"], v["parent_iqr"], v["gain"]) == (10, 10, 5.0, 4.5, True)
+    assert v["change"] == (7.25, 9.5, 11.75)
+    # A gap of 4 is inside the parent's IQR, though every pair is won.
+    assert not record_bench.verdict(PARENT, [p - 4.0 for p in PARENT], "lower")["gain"]
+    # 9 of 10 wins still shows a gain; 8 of 10, with a tie, does not.
+    nine = [p - 6.0 for p in PARENT[:9]] + [PARENT[9] + 1.0]
+    assert record_bench.verdict(PARENT, nine, "lower")["gain"]
+    eight = nine[:8] + [PARENT[8]] + nine[9:]
+    v = record_bench.verdict(PARENT, eight, "lower")
+    assert (v["wins"], v["gain"]) == (8, False)
+
+
+def test_higher_is_better_metric():
+    v = record_bench.verdict(PARENT, [p + 5.0 for p in PARENT], "higher")
+    assert (v["wins"], v["gap"], v["gain"]) == (10, 5.0, True)
+    assert not record_bench.verdict(PARENT, [p + 5.0 for p in PARENT], "lower")["gain"]
+
+
+def test_e2e_lines_pair_runs_by_seed():
+    metrics = [{"name": "m", "unit": "MB", "better": "lower"}]
+    records = [record(side, seed, 0, m=value) for seed, parent in zip(range(10, 0, -1), PARENT)
+               for side, value in (("change", parent - 5.0), ("parent", parent))]
+    records.append(record("parent", 1, 1, m=0.0))  # traced: ignored
+    [line] = record_bench.e2e_lines(records, ["w"], metrics)
+    assert line == ("w m: median [quartiles] parent 14.5 [12.25, 16.75], change 9.5 "
+                    "[7.25, 11.75] MB; change better in 10 of 10 pairs; gain (median gap 5, "
+                    "parent IQR 4.5)")
+
+
+def test_committed_records_give_a_line_per_workload_and_metric():
+    # BENCH_21 changed no code on the sample_roundtrip path: its peak RSS shows no gain.
+    root = SCRIPT.parents[1]
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    records = json.loads((root / "BENCH_21.json").read_text())["records"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    lines = record_bench.e2e_lines(records, workloads, spec["end_to_end"])
+    assert len(lines) == len(workloads) * len(spec["end_to_end"])
+    [rss] = [line for line in lines if line.startswith("sample_roundtrip peak_rss_mb:")]
+    assert rss.endswith(")") and "; no gain (" in rss
