@@ -380,9 +380,11 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     """CSV with a header line and "\n" line ends; no cell may need quoting. Rows are
     joined CSV_BLOCK_ROWS at a time, and then the blocks, so no string of every
     row is held at once."""
-    rows, blocks = iter(rows), [",".join(header)]
+    # Joining each row as it is drawn lets zip reuse its row tuple; a block of
+    # tuples would allocate one per row and set off the garbage collector.
+    rows, blocks = map(",".join, rows), [",".join(header)]
     while block := list(islice(rows, CSV_BLOCK_ROWS)):
-        blocks.append("\n".join(map(",".join, block)))
+        blocks.append("\n".join(block))
     blocks.append("")  # the last line end: text + "\n" would copy the whole text
     return "\n".join(blocks)
 
