@@ -137,17 +137,17 @@ class TestSeatSweep:
         snrs = [r.snr_db for r in group_a]
         assert all(x >= y for x, y in zip(snrs, snrs[1:]))
 
-    @pytest.mark.parametrize("height", list(HeightClass))
-    def test_coverage_matches_analytic(self, height):
+    def test_coverage_matches_analytic(self):
         # seat_sweep takes coverage from each link's mean path loss; the bits must
         # be those of coverage_probability at the link's distance.
         layout = default_layout()
         registry = builtin_registry()
         pl_max = (CONFIG.tx_power_dbm + CONFIG.g_tx_dbi + CONFIG.g_rx_dbi
                   - noise_floor_dbm(CONFIG) - CONFIG.snr_threshold_db)
-        for r in seat_sweep(layout, registry, CONFIG, height):
-            model = registry[(layout.seat(r.seat_id).group, height)]
-            assert r.coverage_prob == coverage_probability(model, r.distance_m, pl_max)
+        for height in HeightClass:
+            for r in seat_sweep(layout, registry, CONFIG, height):
+                model = registry[(layout.seat(r.seat_id).group, height)]
+                assert r.coverage_prob == coverage_probability(model, r.distance_m, pl_max)
 
     def test_use_all_model(self):
         layout = default_layout()

@@ -449,9 +449,14 @@ class TestInputHelpers:
         with pytest.raises(ValueError, match="model file not found"):
             load_json_object(tmp_path / "none.json", "model", model_from_dict)
 
-    def test_csv_text(self):
+    def test_csv_text(self, monkeypatch):
         assert csv_text(("a", "b"), [("1", "2"), ("3", "")]) == "a,b\n1,2\n3,\n"
         assert csv_text(("a",), []) == "a\n"
+        assert csv_text(("a",), [("",)]) == "a\n\n"
+        monkeypatch.setattr("busloss.models.CSV_BLOCK_ROWS", 2)
+        rows = [(str(i), "") for i in range(5)]
+        assert csv_text(("a", "b"), iter(rows)) == "a,b\n" + "".join(f"{i},\n" for i in range(5))
+        assert csv_text(("a",), [("",)] * 3) == "a\n\n\n\n"
 
     # The test_csv_rows_* tests check read_csv's framing, test_float_rows_* its
     # float() conversion and test_raise_first_bad_row the order of its faults.
