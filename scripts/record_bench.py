@@ -1,24 +1,30 @@
 """Record the benchmark's meta and result lines for two checkouts in one file.
 
     python3 scripts/record_bench.py --parent <checkout> --change <checkout> \
-        --seeds 101 102 103 --seconds 20 --traced-seeds 3 -o BENCH_<n>.json
+        [--baseline <checkout>] --seeds 101 102 103 --seconds 20 --traced-seeds 3 \
+        -o BENCH_<n>.json
 
 Each seed is one pair of `perfbench/run.py --trace 0` runs per workload of
 BENCHMARK.json, parent and change back to back, the first of the two
 alternating from seed to seed, so that the drift of a shared host falls on
-both alike. The first N seeds (`--traced-seeds N`, default 1) also make one
-`--trace 1` pair per workload, alternating the same way. Each record keeps the
+both alike. A `--baseline` checkout, a fixed older anchor, runs on the same
+seeds, after the change when the parent runs first and before it otherwise.
+A run of changes, each slower than its parent by less than the noise, shows
+against the anchor; the change is judged against it as against the parent.
+The first N seeds (`--traced-seeds N`, default 1) also make one `--trace 1`
+pair (or triple) per workload, alternating the same way. Each record keeps the
 last two stdout lines of a run: the meta line and the result line. The file's
 `summary` holds, per workload and per-layer metric of the traced pairs, each
-side's median, the per-pair ratios change/parent and their median: traced
-layer times are raw seconds, and a ratio within one pair cancels the host
-drift that a single absolute number carries. The list of ratios shows whether
-a layer target is resolved: a ±15% target is not when the ratios straddle it. Per workload and end-to-end
-metric, stderr gets each side's quartiles, the number of pairs the change won,
-and whether that shows a gain: the change won at least nine tenths of the
-pairs, ties counting for neither, and its median is better than the parent's
-by more than the parent's interquartile range. Then come the summary's time
-layers.
+side's median, the per-pair ratios change/parent (and change/baseline) and
+their median: traced layer times are raw seconds, and a ratio within one pair
+cancels the host drift that a single absolute number carries. The list of
+ratios shows whether a layer target is resolved: a ±15% target is not when the
+ratios straddle it. Per workload and end-to-end metric, stderr gets each
+side's quartiles, the number of pairs the change won, and whether that shows a
+gain: the change won at least nine tenths of the pairs, ties counting for
+neither, and its median is better than the parent's by more than the parent's
+interquartile range. The same follows against the baseline, with the ratio of
+the medians. Then come the summary's time layers.
 """
 
 import argparse
@@ -38,34 +44,42 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
             "meta": meta["meta"], "result": result}
 
 
+def references(records: list[dict]) -> list[str]:
+    """The checkouts the change is judged against: the parent, then the baseline
+    when the records hold one."""
+    return ["parent"] + (["baseline"] if any(r["checkout"] == "baseline" for r in records) else [])
+
+
 def summarise(records: list[dict], layers: list[str]) -> dict:
     """{workload: {layer: {"parent", "change", "change_over_parent", "ratios",
     "pairs"}}} over the traced records, paired by workload and seed: each side's
     median value, the median over pairs of change/parent, and those ratios in
-    seed order. A layer that reads 0 in every traced record of a workload is left
-    out; a pair whose parent reads 0 gives no ratio, and a layer with no ratio has
-    change_over_parent None."""
+    seed order. Records with a baseline add "baseline", "change_over_baseline"
+    and "baseline_ratios" in the same way. A layer that reads 0 in every traced
+    record of a workload is left out; a pair whose reference reads 0 gives no
+    ratio, and a layer with no ratio has change_over_<reference> None."""
     pairs: dict[str, dict[int, dict[str, dict]]] = {}
     for r in records:
         if r["trace"] == 1:
             pairs.setdefault(r["workload"], {}).setdefault(r["seed"], {})[r["checkout"]] = \
                 r["result"]["metrics"]
-    summary = {}
+    refs, summary = references(records), {}
     for workload, by_seed in pairs.items():
         summary[workload] = {}
         for name in layers:
-            values = [(by_seed[seed]["parent"][name]["value"],
-                       by_seed[seed]["change"][name]["value"]) for seed in sorted(by_seed)]
-            if not any(parent or change for parent, change in values):
+            values = {side: [by_seed[seed][side][name]["value"] for seed in sorted(by_seed)]
+                      for side in refs + ["change"]}
+            if not any(any(side) for side in values.values()):
                 continue
-            ratios = [change / parent for parent, change in values if parent]
-            summary[workload][name] = {
-                "parent": statistics.median(parent for parent, _ in values),
-                "change": statistics.median(change for _, change in values),
-                "change_over_parent": statistics.median(ratios) if ratios else None,
-                "ratios": ratios,
-                "pairs": len(values),
-            }
+            layer = {"parent": statistics.median(values["parent"]),
+                     "change": statistics.median(values["change"])}
+            for ref in refs:
+                ratios = [c / r for r, c in zip(values[ref], values["change"]) if r]
+                if ref != "parent":
+                    layer[ref] = statistics.median(values[ref])
+                layer[f"change_over_{ref}"] = statistics.median(ratios) if ratios else None
+                layer["ratios" if ref == "parent" else f"{ref}_ratios"] = ratios
+            summary[workload][name] = {**layer, "pairs": len(by_seed)}
     return summary
 
 
@@ -94,21 +108,27 @@ def verdict(parent: list[float], change: list[float], better: str) -> dict:
 
 def e2e_lines(records: list[dict], workloads: list[str], end_to_end: list[dict]) -> list[str]:
     """One line per workload and end-to-end metric of the untraced pairs: the
-    verdict of the metric's change against its parent."""
+    verdict of the metric's change against its parent and, when the records hold
+    a baseline, against the baseline too, with the ratio of the medians."""
     lines, records = [], sorted(records, key=lambda r: r["seed"])  # pairs by seed
     for w in workloads:
         for metric in end_to_end:
             name = metric["name"]
-            parent, change = ([r["result"]["metrics"][name]["value"] for r in records
-                               if (r["workload"], r["trace"], r["checkout"]) == (w, 0, label)]
-                              for label in ("parent", "change"))
-            v = verdict(parent, change, metric["better"])
-            p, c = ("{:.4g} [{:.4g}, {:.4g}]".format(q[1], q[0], q[2])
-                    for q in (v["parent"], v["change"]))
-            lines.append(f"{w} {name}: median [quartiles] parent {p}, change {c} "
-                         f"{metric['unit']}; change better in {v['wins']} of {v['pairs']} "
-                         f"pairs; {'gain' if v['gain'] else 'no gain'} (median gap "
-                         f"{v['gap']:.4g}, parent IQR {v['parent_iqr']:.4g})")
+            runs = {label: [r["result"]["metrics"][name]["value"] for r in records
+                            if (r["workload"], r["trace"], r["checkout"]) == (w, 0, label)]
+                    for label in references(records) + ["change"]}
+            parts = []
+            for ref in references(records):
+                v = verdict(runs[ref], runs["change"], metric["better"])
+                p, c = ("{:.4g} [{:.4g}, {:.4g}]".format(q[1], q[0], q[2])
+                        for q in (v["parent"], v["change"]))
+                parts.append(f"{ref} {p}, change {c} {metric['unit']}; change better in "
+                             f"{v['wins']} of {v['pairs']} pairs; "
+                             f"{'gain' if v['gain'] else 'no gain'} (median gap "
+                             f"{v['gap']:.4g}, {ref} IQR {v['parent_iqr']:.4g}"
+                             + (f", change/{ref} {v['change'][1] / v['parent'][1]:.3f})"
+                                if ref != "parent" else ")"))
+            lines.append(f"{w} {name}: median [quartiles] " + "; against ".join(parts))
     return lines
 
 
@@ -116,6 +136,9 @@ def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, required=True)
+    p.add_argument("--baseline", type=Path, metavar="DIR",
+                   help="a third checkout, a fixed anchor, run on the same seeds "
+                        "and judged against like the parent")
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--traced-seeds", type=int, default=1, metavar="N",
@@ -128,6 +151,8 @@ def main() -> None:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     sides = [("parent", args.parent), ("change", args.change)]
+    if args.baseline is not None:  # the change stays between the other two
+        sides.append(("baseline", args.baseline))
     records = [{"checkout": label, **run(path, w, seed, args.seconds, trace)}
                for i, seed in enumerate(args.seeds)
                for trace in ((0, 1) if i < args.traced_seeds else (0,))
@@ -137,12 +162,14 @@ def main() -> None:
 
     for line in e2e_lines(records, workloads, spec["end_to_end"]):
         print(line, file=sys.stderr)
+    refs = references(records)
     for w, layers in summary.items():
         for name, v in layers.items():
             if name.endswith(".s") and v["change_over_parent"] is not None:
+                against = "".join(f"; change/{ref} median {v[f'change_over_{ref}']:.3f}"
+                                  for ref in refs if v[f"change_over_{ref}"] is not None)
                 print(f"{w} {name}: traced median parent {v['parent']:.4g}, change "
-                      f"{v['change']:.4g} s; change/parent median {v['change_over_parent']:.3f} "
-                      f"over {v['pairs']} pairs", file=sys.stderr)
+                      f"{v['change']:.4g} s{against} over {v['pairs']} pairs", file=sys.stderr)
 
 
 if __name__ == "__main__":

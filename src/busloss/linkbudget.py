@@ -184,16 +184,19 @@ def _standard_normals(seed: int, n_draws: int, n_links: int) -> Iterator[tuple[i
     block) pairs of at most _DRAW_CHUNK_ROWS draws by n_links links, where block
     holds draws start, start + 1, ... in order, all from one Generator(seed).
 
-    n_draws is checked when this is called, before any block exists: it must be
-    >= 1 and n_draws * n_links at most MAX_DRAW_LINKS.
+    Every block is drawn into one buffer, so a block is valid only until the next
+    one is drawn; the caller may overwrite it in place. n_draws is checked when
+    this is called, before the buffer exists: it must be >= 1 and
+    n_draws * n_links at most MAX_DRAW_LINKS.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     if n_draws * n_links > MAX_DRAW_LINKS:
         raise ValueError(f"{n_draws} draws x {n_links} links is over {MAX_DRAW_LINKS}")
-    rng, rows = np.random.default_rng(seed), _DRAW_CHUNK_ROWS
+    rows = min(_DRAW_CHUNK_ROWS, n_draws)
+    rng, buffer = np.random.default_rng(seed), np.empty((rows, n_links))
     return (
-        (start, rng.standard_normal((min(rows, n_draws - start), n_links)))
+        (start, rng.standard_normal(out=buffer[:min(rows, n_draws - start)]))
         for start in range(0, n_draws, rows)
     )
 
@@ -254,7 +257,10 @@ def interference_footprint(
     unknown or excluded seat raises SeatNotFoundError or ExcludedPositionError
     before n_draws is checked. The only array that grows with n_draws is one
     (seats, n_draws) float64 SINR buffer; _row_stats takes its statistics in
-    place.
+    place. Each block of draws becomes path loss, received power and SINR in
+    place, in the draw buffer and one received-power temporary, by the float64
+    operations of the expression in each comment, in its order; the SINR goes
+    into its columns of the buffer through a transposed view.
     """
     if not active_seats:
         raise ValueError("need at least one active seat")
@@ -266,10 +272,13 @@ def interference_footprint(
     noise_mw = 10.0 ** (noise_floor_dbm(config) / 10.0)
     sinr_db = np.empty((len(active_seats), n_draws))
     for start, z in blocks:
-        rx_mw = 10.0 ** (rx_power_dbm(config, means + sigmas * z) / 10.0)
-        total_mw = rx_mw.sum(axis=1, keepdims=True)
-        block_sinr = 10.0 * np.log10(rx_mw / (noise_mw + total_mw - rx_mw))
-        sinr_db[:, start:start + len(block_sinr)] = block_sinr.T
+        # rx_mw = 10.0 ** (rx_power_dbm(config, means + sigmas * z) / 10.0)
+        rx_mw = rx_power_dbm(config, np.add(means, np.multiply(sigmas, z, out=z), out=z))
+        np.power(10.0, np.divide(rx_mw, 10.0, out=rx_mw), out=rx_mw)
+        # sinr = 10.0 * np.log10(rx_mw / (noise_mw + total_mw - rx_mw))
+        sinr = np.subtract(noise_mw + rx_mw.sum(axis=1, keepdims=True), rx_mw, out=z)
+        np.log10(np.divide(rx_mw, sinr, out=sinr), out=sinr)
+        np.multiply(10.0, sinr, out=sinr_db[:, start:start + len(sinr)].T)
 
     means, medians, p05s = _row_stats(sinr_db)
     return [
@@ -281,45 +290,6 @@ def interference_footprint(
         )
         for i, seat_id in enumerate(active_seats)
     ]
-
-
-_SIGN_BIT = np.uint64(1 << 63)
-
-
-def _order_keys(x: np.ndarray) -> np.ndarray:
-    """uint64 keys that sort like the non-NaN float64 values x."""
-    bits = x.view(np.uint64)
-    return np.where(bits & _SIGN_BIT, ~bits, bits ^ _SIGN_BIT)
-
-
-def _key_values(keys: np.ndarray) -> np.ndarray:
-    """The float64 values of _order_keys keys."""
-    return np.where(keys & _SIGN_BIT, keys ^ _SIGN_BIT, ~keys).view(np.float64)
-
-
-def _pass_thresholds(means: np.ndarray, sigmas: np.ndarray, pl_max: float) -> np.ndarray:
-    """Per link, the largest float64 t (or +-inf) with means + sigmas * t <= pl_max
-    as numpy evaluates it, fl(m + fl(s * t)); a draw z passes exactly when z <= t.
-
-    For a finite m and s > 0, fl(m + fl(s * t)) is non-decreasing in t, since each
-    rounding is, and it is -inf at t = -inf; so a bisection over the ordered
-    doubles from -inf to +inf finds t in at most 64 steps. (Stepping by ulps from
-    (pl_max - m) / s, instead, needs about ulp(m) / ulp(pl_max - m) steps, which is
-    millions when pl_max is close to m.) For s == 0, and for a mean that is not
-    finite, a draw's path loss is m itself, so t is +inf when m <= pl_max and
-    -inf otherwise.
-    """
-    constant = (sigmas == 0) | ~np.isfinite(means)
-    m, s = np.where(constant, 0.0, means), np.where(constant, 1.0, sigmas)
-    lo = _order_keys(np.full(len(m), -np.inf))
-    hi = _order_keys(np.full(len(m), np.inf)) + np.uint64(1)  # one past +inf, never probed
-    # Far from the boundary s * t overflows to +-inf, which still compares right.
-    with np.errstate(over="ignore"):
-        while (hi - lo > 1).any():
-            mid = lo + (hi - lo) // np.uint64(2)
-            passes = m + s * _key_values(mid) <= pl_max
-            lo, hi = np.where(passes, mid, lo), np.where(passes, hi, mid)
-    return np.where(constant, np.where(means <= pl_max, np.inf, -np.inf), _key_values(lo))
 
 
 def empirical_coverage(
@@ -334,16 +304,16 @@ def empirical_coverage(
     """Fraction of shadowing draws whose SNR clears the threshold, per seat.
 
     A draw of link j clears it when its path loss, means[j] + sigmas[j] * z, is
-    at most max_path_loss_db(config). The draws are counted block by block as
-    z <= _pass_thresholds(...)[j] on the standard normals, which gives the same
-    counts without forming the path loss; memory does not grow with n_draws.
+    at most max_path_loss_db(config). The draws are counted block by block, each
+    block's path loss formed in place in the draw buffer, so memory does not
+    grow with n_draws.
     """
     ids, _, means, sigmas = _links(layout, models, height, None, use_all_model)
     blocks = _standard_normals(seed, n_draws, len(ids))
-    thresholds = _pass_thresholds(means, sigmas, max_path_loss_db(config))
-    counts = np.zeros(len(ids), dtype=np.int64)
+    pl_max, counts = max_path_loss_db(config), np.zeros(len(ids), dtype=np.int64)
     for _, z in blocks:
-        counts += np.count_nonzero(z <= thresholds, axis=0)
+        path_loss = np.add(means, np.multiply(sigmas, z, out=z), out=z)
+        counts += np.count_nonzero(path_loss <= pl_max, axis=0)
     return dict(zip(ids, (counts / n_draws).tolist()))
 
 

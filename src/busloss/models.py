@@ -548,7 +548,7 @@ def read_csv(text: str, source, kind: str, columns: Sequence[str], record,
     whole text, to find its line."""
     if not text:
         raise error(f"{source}: empty {kind} file")
-    head = text.partition("\n")[0]
+    head = text[:text.find("\n")] if "\n" in text else text  # no copy of the body
     header = [name.strip() for name in head.split(",")]
     if header[:len(columns)] != list(columns):
         raise error(f"{source}:1: header must start with {','.join(columns)}")

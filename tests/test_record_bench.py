@@ -123,3 +123,64 @@ def test_committed_records_give_a_line_per_workload_and_metric():
     assert len(lines) == len(workloads) * len(spec["end_to_end"])
     [rss] = [line for line in lines if line.startswith("sample_roundtrip peak_rss_mb:")]
     assert rss.endswith(")") and "; no gain (" in rss
+
+
+def test_summary_with_a_baseline():
+    records = [record(side, seed, 1, a=value) for seed, values in
+               [(1, {"parent": 2.0, "change": 1.0, "baseline": 4.0}),
+                (2, {"baseline": 0.0, "change": 3.0, "parent": 4.0})]
+               for side, value in values.items()]
+    layer = record_bench.summarise(records, ["a"])["w"]["a"]
+    # Seed 2's baseline reads 0, so it gives no change/baseline ratio.
+    assert layer == {"parent": 3.0, "change": 2.0, "change_over_parent": 0.625,
+                     "ratios": [0.5, 0.75], "baseline": 2.0, "change_over_baseline": 0.25,
+                     "baseline_ratios": [0.25], "pairs": 2}
+
+
+def test_e2e_lines_against_a_baseline():
+    # The baseline's runs are the parent's plus 10: the change wins every pair
+    # against it too, with medians 9.5 against 24.5.
+    metrics = [{"name": "m", "unit": "MB", "better": "lower"}]
+    records = [record(side, seed, 0, m=value) for seed, parent in zip(range(1, 11), PARENT)
+               for side, value in (("parent", parent), ("change", parent - 5.0),
+                                   ("baseline", parent + 10.0))]
+    [line] = record_bench.e2e_lines(records, ["w"], metrics)
+    assert line == ("w m: median [quartiles] parent 14.5 [12.25, 16.75], change 9.5 "
+                    "[7.25, 11.75] MB; change better in 10 of 10 pairs; gain (median gap 5, "
+                    "parent IQR 4.5); against baseline 24.5 [22.25, 26.75], change 9.5 "
+                    "[7.25, 11.75] MB; change better in 10 of 10 pairs; gain (median gap 15, "
+                    "baseline IQR 4.5, change/baseline 0.388)")
+
+
+def test_baseline_runs_on_the_same_seeds_with_the_change_between(tmp_path, monkeypatch,
+                                                                 capsys):
+    """main with a stub in place of perfbench/run.py: no benchmark is run."""
+    for name in "pcb":
+        (tmp_path / name).mkdir()
+    (tmp_path / "c" / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "w"}], "per_layer": [{"name": "a.s"}],
+        "end_to_end": [{"name": "m", "unit": "s", "better": "lower"}]}))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append((checkout.name, seed, trace))
+        value = {"p": 2.0, "c": 1.0, "b": 4.0}[checkout.name]
+        return {"workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
+                "meta": {}, "result": {"metrics": {"m": {"value": value, "unit": "s"},
+                                                   "a.s": {"value": value, "unit": "s"}}}}
+
+    monkeypatch.setattr(record_bench, "run", fake_run)
+    monkeypatch.setattr("sys.argv", ["record_bench.py"] + [
+        f"--{side}={tmp_path / side[0]}" for side in ("parent", "change", "baseline")] + [
+        "--seeds", "1", "2", "--seconds", "1", "-o", str(tmp_path / "out.json")])
+    record_bench.main()
+    assert calls == [("p", 1, 0), ("c", 1, 0), ("b", 1, 0), ("p", 1, 1), ("c", 1, 1),
+                     ("b", 1, 1), ("b", 2, 0), ("c", 2, 0), ("p", 2, 0)]
+    out = json.loads((tmp_path / "out.json").read_text())
+    assert [r["checkout"] for r in out["records"][:3]] == ["parent", "change", "baseline"]
+    assert out["summary"]["w"]["a.s"]["change_over_baseline"] == 0.25
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].endswith("; against baseline 4 [4, 4], change 1 [1, 1] s; change better in 2 "
+                           "of 2 pairs; gain (median gap 3, baseline IQR 0, change/baseline 0.250)")
+    assert err[1] == ("w a.s: traced median parent 2, change 1 s; change/parent median 0.500; "
+                      "change/baseline median 0.250 over 1 pairs")
