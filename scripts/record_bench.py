@@ -71,12 +71,9 @@ def summarise(records: list[dict], layers: list[str]) -> dict:
                       for side in refs + ["change"]}
             if not any(any(side) for side in values.values()):
                 continue
-            layer = {"parent": statistics.median(values["parent"]),
-                     "change": statistics.median(values["change"])}
+            layer = {side: statistics.median(side_values) for side, side_values in values.items()}
             for ref in refs:
                 ratios = [c / r for r, c in zip(values[ref], values["change"]) if r]
-                if ref != "parent":
-                    layer[ref] = statistics.median(values[ref])
                 layer[f"change_over_{ref}"] = statistics.median(ratios) if ratios else None
                 layer["ratios" if ref == "parent" else f"{ref}_ratios"] = ratios
             summary[workload][name] = {**layer, "pairs": len(by_seed)}
@@ -111,14 +108,15 @@ def e2e_lines(records: list[dict], workloads: list[str], end_to_end: list[dict])
     verdict of the metric's change against its parent and, when the records hold
     a baseline, against the baseline too, with the ratio of the medians."""
     lines, records = [], sorted(records, key=lambda r: r["seed"])  # pairs by seed
+    refs = references(records)
     for w in workloads:
         for metric in end_to_end:
             name = metric["name"]
             runs = {label: [r["result"]["metrics"][name]["value"] for r in records
                             if (r["workload"], r["trace"], r["checkout"]) == (w, 0, label)]
-                    for label in references(records) + ["change"]}
+                    for label in refs + ["change"]}
             parts = []
-            for ref in references(records):
+            for ref in refs:
                 v = verdict(runs[ref], runs["change"], metric["better"])
                 p, c = ("{:.4g} [{:.4g}, {:.4g}]".format(q[1], q[0], q[2])
                         for q in (v["parent"], v["change"]))

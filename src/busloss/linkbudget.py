@@ -275,7 +275,7 @@ def interference_footprint(
         # rx_mw = 10.0 ** (rx_power_dbm(config, means + sigmas * z) / 10.0)
         rx_mw = rx_power_dbm(config, np.add(means, np.multiply(sigmas, z, out=z), out=z))
         np.power(10.0, np.divide(rx_mw, 10.0, out=rx_mw), out=rx_mw)
-        # sinr = 10.0 * np.log10(rx_mw / (noise_mw + total_mw - rx_mw))
+        # sinr = 10.0 * np.log10(rx_mw / (noise_mw + rx_mw.sum(1, keepdims=True) - rx_mw))
         sinr = np.subtract(noise_mw + rx_mw.sum(axis=1, keepdims=True), rx_mw, out=z)
         np.log10(np.divide(rx_mw, sinr, out=sinr), out=sinr)
         np.multiply(10.0, sinr, out=sinr_db[:, start:start + len(sinr)].T)
