@@ -8,6 +8,7 @@ power combining happens in linear watts; only the reported figures are dB.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -184,21 +185,40 @@ def _standard_normals(seed: int, n_draws: int, n_links: int) -> Iterator[tuple[i
     block) pairs of at most _DRAW_CHUNK_ROWS draws by n_links links, where block
     holds draws start, start + 1, ... in order, all from one Generator(seed).
 
-    Every block is drawn into one buffer, so a block is valid only until the next
-    one is drawn; the caller may overwrite it in place. n_draws is checked when
-    this is called, before the buffer exists: it must be >= 1 and
-    n_draws * n_links at most MAX_DRAW_LINKS.
+    A block holds until the caller takes the next one; the caller may overwrite
+    it in place. With more than one block, one worker thread draws the next
+    block into a second buffer while the caller works on the current one. The
+    worker ends before the last block is yielded, or when the generator is
+    closed. n_draws is checked when this is called, before any buffer exists:
+    it must be >= 1 and n_draws * n_links at most MAX_DRAW_LINKS.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
     if n_draws * n_links > MAX_DRAW_LINKS:
         raise ValueError(f"{n_draws} draws x {n_links} links is over {MAX_DRAW_LINKS}")
-    rows = min(_DRAW_CHUNK_ROWS, n_draws)
-    rng, buffer = np.random.default_rng(seed), np.empty((rows, n_links))
-    return (
-        (start, rng.standard_normal(out=buffer[:min(rows, n_draws - start)]))
-        for start in range(0, n_draws, rows)
-    )
+    return _drawn_ahead(np.random.default_rng(seed), n_draws, n_links)
+
+
+def _drawn_ahead(rng: np.random.Generator, n_draws: int, n_links: int):
+    """The blocks of _standard_normals, block i in buffer i % 2. The caller
+    draws block 0; a worker draws block i + 1 while the caller holds block i."""
+    starts = range(0, n_draws, min(_DRAW_CHUNK_ROWS, n_draws))
+    buffers = np.empty((min(len(starts), 2), starts.step, n_links))
+    blocks = ((start, buffers[i % 2][:min(starts.step, n_draws - start)])
+              for i, start in enumerate(starts))
+    current = next(blocks)
+    rng.standard_normal(out=current[1])
+    if len(starts) > 1:
+        # Imported here: it loads logging, which single-block calls never need.
+        from concurrent.futures import ThreadPoolExecutor
+        # Leaving the with block, on the last block or on close(), joins the worker.
+        with ThreadPoolExecutor(1) as pool:
+            for following in blocks:
+                drawn = pool.submit(rng.standard_normal, out=following[1])
+                yield current
+                drawn.result()
+                current = following
+    yield current
 
 
 def _row_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,21 +284,25 @@ def interference_footprint(
     """
     if not active_seats:
         raise ValueError("need at least one active seat")
-    for i, seat_id in enumerate(active_seats):
-        if seat_id in active_seats[:i]:
+    seen = set()
+    for seat_id in active_seats:
+        if seat_id in seen:
             raise ValueError(f"seat {seat_id} is listed more than once")
+        seen.add(seat_id)
     _, _, means, sigmas = _links(layout, models, height, active_seats, use_all_model)
     blocks = _standard_normals(seed, n_draws, len(means))
     noise_mw = 10.0 ** (noise_floor_dbm(config) / 10.0)
     sinr_db = np.empty((len(active_seats), n_draws))
-    for start, z in blocks:
-        # rx_mw = 10.0 ** (rx_power_dbm(config, means + sigmas * z) / 10.0)
-        rx_mw = rx_power_dbm(config, np.add(means, np.multiply(sigmas, z, out=z), out=z))
-        np.power(10.0, np.divide(rx_mw, 10.0, out=rx_mw), out=rx_mw)
-        # sinr = 10.0 * np.log10(rx_mw / (noise_mw + rx_mw.sum(1, keepdims=True) - rx_mw))
-        sinr = np.subtract(noise_mw + rx_mw.sum(axis=1, keepdims=True), rx_mw, out=z)
-        np.log10(np.divide(rx_mw, sinr, out=sinr), out=sinr)
-        np.multiply(10.0, sinr, out=sinr_db[:, start:start + len(sinr)].T)
+    # closing() stops the draw worker if this loop raises.
+    with closing(blocks):
+        for start, z in blocks:
+            # rx_mw = 10.0 ** (rx_power_dbm(config, means + sigmas * z) / 10.0)
+            rx_mw = rx_power_dbm(config, np.add(means, np.multiply(sigmas, z, out=z), out=z))
+            np.power(10.0, np.divide(rx_mw, 10.0, out=rx_mw), out=rx_mw)
+            # sinr = 10.0 * np.log10(rx_mw / (noise_mw + rx_mw.sum(1, keepdims=True) - rx_mw))
+            sinr = np.subtract(noise_mw + rx_mw.sum(axis=1, keepdims=True), rx_mw, out=z)
+            np.log10(np.divide(rx_mw, sinr, out=sinr), out=sinr)
+            np.multiply(10.0, sinr, out=sinr_db[:, start:start + len(sinr)].T)
 
     means, medians, p05s = _row_stats(sinr_db)
     return [
@@ -311,9 +335,10 @@ def empirical_coverage(
     ids, _, means, sigmas = _links(layout, models, height, None, use_all_model)
     blocks = _standard_normals(seed, n_draws, len(ids))
     pl_max, counts = max_path_loss_db(config), np.zeros(len(ids), dtype=np.int64)
-    for _, z in blocks:
-        path_loss = np.add(means, np.multiply(sigmas, z, out=z), out=z)
-        counts += np.count_nonzero(path_loss <= pl_max, axis=0)
+    with closing(blocks):
+        for _, z in blocks:
+            path_loss = np.add(means, np.multiply(sigmas, z, out=z), out=z)
+            counts += np.count_nonzero(path_loss <= pl_max, axis=0)
     return dict(zip(ids, (counts / n_draws).tolist()))
 
 

@@ -2,12 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import busloss
 from busloss.cli import _json_table, build_parser, main
 from busloss.models import HeightClass, Region, builtin_model, model_to_dict
 
@@ -633,6 +638,27 @@ class TestSweepAndFootprint:
         assert code == 2
         assert out == ""
         assert "seat 14" in err
+
+    def test_first_repeated_active_seat_named(self, capsys):
+        code, out, err = run(
+            capsys, "footprint", "--height", "upper", "--active", "7,8,8,7",
+            "--seed", "1", "--draws", "10",
+        )
+        assert (code, out, err) == (2, "", "error: seat 8 is listed more than once\n")
+
+    def test_single_block_footprint_loads_no_thread_pool(self):
+        # Only a footprint of more than one draw block imports concurrent.futures,
+        # which loads logging; a cold start and a small footprint pay for neither.
+        code = ("import sys, busloss, busloss.cli\n"
+                "busloss.cli.main(['footprint', '--height', 'upper', '--active', '14,2,22',"
+                " '--seed', '3', '--draws', '1000', '--format', 'json'])\n"
+                "print(sorted({'logging', 'concurrent.futures'} & set(sys.modules)), file=sys.stderr)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(busloss.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert [row["seat"] for row in json.loads(proc.stdout)] == [14, 2, 22]
+        assert proc.stderr == "[]\n"
 
     def test_draws_over_limit_exit_2(self, capsys):
         # 10^11 draws x 2 links is rejected by arithmetic before anything is allocated

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -243,6 +245,12 @@ class TestInterferenceFootprint:
                 layout, models, CONFIG, [2, 1, 2], HeightClass.UPPER, seed=0, n_draws=10
             )
 
+    def test_first_repeat_named(self):
+        # Checked before any seat is resolved, so the ids need not exist.
+        for active, repeat in (([7, 8, 8, 7], 8), (list(range(100, 20_100)) + [20_099, 100], 20_099)):
+            with pytest.raises(ValueError, match=f"^seat {repeat} is listed more than once$"):
+                interference_footprint(LAYOUT, REGISTRY, CONFIG, active, HeightClass.UPPER, 0, 10)
+
     def test_seats_resolved_before_draw_count(self):
         for n_draws in (0, MAX_DRAW_LINKS + 1):
             with pytest.raises(ExcludedPositionError):
@@ -359,7 +367,7 @@ class TestDrawBlocks:
     def test_blocks_match_one_draw(self, rows, n_draws, seed, active, height, tx_power_dbm):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("busloss.linkbudget._DRAW_CHUNK_ROWS", rows)
-            # Each block is valid until the next is drawn, so keep a copy.
+            # A block holds only until the next is taken, so keep a copy.
             blocks = [(start, block.copy()) for start, block in
                       _standard_normals(seed, n_draws, len(active))]
             footprint = interference_footprint(
@@ -386,6 +394,73 @@ class TestDrawBlocks:
         pl = one_shot_path_loss(seat_ids, height, seed, n_draws)
         fractions = np.mean(pl <= max_path_loss_db(config), axis=0)
         assert coverage == {seat_id: fractions[i] for i, seat_id in enumerate(seat_ids)}
+
+
+class TestDrawAhead:
+    """The worker that draws block i + 1 while the caller holds block i, with blocks
+    of 1-5 rows as in TestDrawBlocks, and the thread it runs on."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(rows=st.integers(1, 5), n_draws=st.integers(1, 30), n_links=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_held_block_survives_the_worker(self, rows, n_draws, n_links, seed):
+        z = np.random.default_rng(seed).standard_normal((n_draws, n_links))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("busloss.linkbudget._DRAW_CHUNK_ROWS", rows)
+            for start, block in _standard_normals(seed, n_draws, n_links):
+                assert np.array_equal(block, z[start:start + len(block)])
+                block[:] = np.nan  # overwritten in place, as the footprint does
+                time.sleep(1e-3)  # the worker draws the next block meanwhile
+                assert np.isnan(block).all()
+
+    def test_worker_lives_while_blocks_remain(self):
+        before = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("busloss.linkbudget._DRAW_CHUNK_ROWS", 2)
+            counts = [threading.active_count() for _ in _standard_normals(1, 7, 3)]
+        assert counts == [before + 1] * 3 + [before]
+
+    def test_no_thread_outlives_a_call(self):
+        before, n_draws = threading.active_count(), 3 * _DRAW_CHUNK_ROWS + 1
+        interference_footprint(LAYOUT, REGISTRY, CONFIG, UPPER_SEATS, HeightClass.UPPER, 3, n_draws)
+        assert threading.active_count() == before
+        empirical_coverage(LAYOUT, REGISTRY, CONFIG, HeightClass.LOWER, 3, n_draws)
+        assert threading.active_count() == before
+        blocks = _standard_normals(3, n_draws, 2)
+        next(blocks)
+        assert threading.active_count() == before + 1
+        blocks.close()
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_raise(self, monkeypatch):
+        counts = []
+
+        def failing_rx_power_dbm(config, pl_db):
+            counts.append(threading.active_count())
+            if len(counts) == 2:
+                raise RuntimeError("second block")
+            return rx_power_dbm(config, pl_db)
+
+        monkeypatch.setattr("busloss.linkbudget.rx_power_dbm", failing_rx_power_dbm)
+        before = threading.active_count()
+        # The traceback holds the footprint's frame, and with it the block generator.
+        with pytest.raises(RuntimeError, match="second block") as raised:
+            interference_footprint(LAYOUT, REGISTRY, CONFIG, UPPER_SEATS, HeightClass.UPPER, 3,
+                                   3 * _DRAW_CHUNK_ROWS)
+        assert raised.traceback and counts == [before + 1] * 2
+        assert threading.active_count() == before
+
+    def test_single_block_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"{thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for n_draws in (1, _DRAW_CHUNK_ROWS):
+            interference_footprint(LAYOUT, REGISTRY, CONFIG, UPPER_SEATS, HeightClass.UPPER, 3, n_draws)
+            empirical_coverage(LAYOUT, REGISTRY, CONFIG, HeightClass.UPPER, 3, n_draws)
+        with pytest.raises(AssertionError, match="started"):
+            interference_footprint(LAYOUT, REGISTRY, CONFIG, UPPER_SEATS, HeightClass.UPPER, 3,
+                                   _DRAW_CHUNK_ROWS + 1)
 
 
 def monte_carlo_digest(n_draws, height, use_all_model, snr_threshold_db=5.0, zero_sigma=False):
