@@ -204,8 +204,7 @@ def _drawn_ahead(rng: np.random.Generator, n_draws: int, n_links: int):
     draws block 0; a worker draws block i + 1 while the caller holds block i."""
     starts = range(0, n_draws, min(_DRAW_CHUNK_ROWS, n_draws))
     buffers = np.empty((min(len(starts), 2), starts.step, n_links))
-    blocks = ((start, buffers[i % 2][:min(starts.step, n_draws - start)])
-              for i, start in enumerate(starts))
+    blocks = ((start, buffers[i % 2][:n_draws - start]) for i, start in enumerate(starts))
     current = next(blocks)
     rng.standard_normal(out=current[1])
     if len(starts) > 1:
@@ -290,11 +289,10 @@ def interference_footprint(
             raise ValueError(f"seat {seat_id} is listed more than once")
         seen.add(seat_id)
     _, _, means, sigmas = _links(layout, models, height, active_seats, use_all_model)
-    blocks = _standard_normals(seed, n_draws, len(means))
     noise_mw = 10.0 ** (noise_floor_dbm(config) / 10.0)
-    sinr_db = np.empty((len(active_seats), n_draws))
-    # closing() stops the draw worker if this loop raises.
-    with closing(blocks):
+    # closing() ends the draw worker also when the loop raises.
+    with closing(_standard_normals(seed, n_draws, len(means))) as blocks:
+        sinr_db = np.empty((len(active_seats), n_draws))
         for start, z in blocks:
             # rx_mw = 10.0 ** (rx_power_dbm(config, means + sigmas * z) / 10.0)
             rx_mw = rx_power_dbm(config, np.add(means, np.multiply(sigmas, z, out=z), out=z))
@@ -333,9 +331,8 @@ def empirical_coverage(
     grow with n_draws.
     """
     ids, _, means, sigmas = _links(layout, models, height, None, use_all_model)
-    blocks = _standard_normals(seed, n_draws, len(ids))
     pl_max, counts = max_path_loss_db(config), np.zeros(len(ids), dtype=np.int64)
-    with closing(blocks):
+    with closing(_standard_normals(seed, n_draws, len(ids))) as blocks:
         for _, z in blocks:
             path_loss = np.add(means, np.multiply(sigmas, z, out=z), out=z)
             counts += np.count_nonzero(path_loss <= pl_max, axis=0)
