@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -450,6 +451,29 @@ class TestDrawAhead:
         assert raised.traceback and counts == [before + 1] * 2
         assert threading.active_count() == before
 
+    def test_concurrent_calls_agree_with_serial(self):
+        # More callers than cores, each with its own worker, switching threads often.
+        n_draws, seeds = 3 * _DRAW_CHUNK_ROWS + 5, range(4)
+
+        def call(seed):
+            return interference_footprint(LAYOUT, REGISTRY, CONFIG, UPPER_SEATS[:6],
+                                          HeightClass.UPPER, seed, n_draws)
+
+        serial, results = [call(seed) for seed in seeds], {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=lambda s=seed: results.update({s: call(s)}))
+                       for seed in seeds]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert [results[seed] for seed in seeds] == serial
+
     def test_single_block_starts_no_thread(self, monkeypatch):
         def refuse(thread):
             raise AssertionError(f"{thread.name} started")
@@ -581,8 +605,8 @@ class TestMonteCarloMemory:
         n_draws = 100_000
         peak = traced_peak(lambda: interference_footprint(
             LAYOUT, REGISTRY, CONFIG, UPPER_SEATS, HeightClass.UPPER, seed=3, n_draws=n_draws))
-        # A block's draw and its SINR temporaries are about five block-sized
-        # arrays; the statistics reorder the buffer in place.
+        # The two draw buffers and a block's SINR temporaries are about six
+        # block-sized arrays; the statistics reorder the buffer in place.
         assert peak < len(UPPER_SEATS) * n_draws * 8 + 8 * self.BLOCK_BYTES
 
 

@@ -44,7 +44,7 @@ from busloss.models import (
     to_combined_form,
     verify_registry,
 )
-from tolerances import coverage_tolerance
+from tolerances import K, coverage_tolerance, mean_se, quantile_se, sd_se
 
 ALL_LOWER = builtin_model(Region.ALL, HeightClass.LOWER)
 ALL_UPPER = builtin_model(Region.ALL, HeightClass.UPPER)
@@ -120,9 +120,10 @@ class TestSamplePathLoss:
 
     def test_moments_match_model(self):
         rng = np.random.default_rng(7)
-        draws = sample_path_loss(ALL_LOWER, 5.0, rng, size=10**6)
-        assert np.mean(draws) == pytest.approx(mean_path_loss(ALL_LOWER, 5.0), abs=0.02)
-        assert np.std(draws) == pytest.approx(2.54, rel=0.02)
+        n, sigma = 10**6, ALL_LOWER.sigma_db
+        draws = sample_path_loss(ALL_LOWER, 5.0, rng, size=n)
+        assert abs(np.mean(draws) - mean_path_loss(ALL_LOWER, 5.0)) <= K * mean_se(sigma, n)
+        assert abs(np.std(draws) - sigma) <= K * sd_se(sigma, n - 1)
 
 
 class TestCoverageProbability:
@@ -222,12 +223,13 @@ class TestPathLossBand:
         assert p95 == mean + 1.6449 * model.sigma_db
 
     def test_empirical_percentiles(self):
-        # The sample 5th and 95th percentiles of 10^6 draws have a standard error
-        # of sqrt(0.05*0.95/n)/pdf(1.645)*sigma = 0.0050 dB at sigma 2.34 dB, and
-        # 1.6449 is 5e-5 from the exact quantile; 0.02 dB is four errors wide.
-        draws = sample_path_loss(ALL_UPPER, 4.0, np.random.default_rng(5), size=10**6)
+        # The standard error is 0.0049 dB at sigma 2.34 dB. 1.6449 is 5e-5 from
+        # the exact normal quantile, which puts the band's ends 0.02 SE off.
+        n = 10**6
+        draws = sample_path_loss(ALL_UPPER, 4.0, np.random.default_rng(5), size=n)
         _, p05, p95 = path_loss_band(ALL_UPPER, 4.0)
-        assert np.percentile(draws, [5, 95]) == pytest.approx([p05, p95], abs=0.02)
+        se = quantile_se(0.05, ALL_UPPER.sigma_db, n)
+        assert np.percentile(draws, [5, 95]) == pytest.approx([p05, p95], abs=K * se)
 
     def test_zero_sigma_collapses(self):
         assert len(set(path_loss_band(PathLossModel(80.0, 2.0, 0.0), 2.0))) == 1
