@@ -57,7 +57,8 @@ class TestFitLogDistance:
         rng = np.random.default_rng(3)
         distances = rng.uniform(1.0, 12.0, 10**4)
         result = fit_log_distance(synth_samples(model, distances, seed=5))
-        assert max(fit_errors(result, model)) <= K
+        # The replaced bounds were 2.97, 5.85 and 3.02 SEs of alpha, beta, sigma.
+        assert np.all(np.less_equal(fit_errors(result, model), (2.9, K, 3.0)))
 
     def test_standard_errors_calibrated(self):
         # In 95% of fits, alpha and beta each lie within 1.96 of their own SEs of
@@ -181,9 +182,12 @@ class TestFitByPartition:
             height=sum((list(p.height) for p in parts), []),
         )
         result = fit_by_partition(samples)
+        # The replaced bounds were at least 2.98, 4.72 and 2.86 SEs of alpha,
+        # beta and sigma over the four regions.
         for region in (Region.A, Region.B, Region.C, Region.D):
             truth = builtin_model(region, HeightClass.UPPER)
-            assert max(fit_errors(result.fits[(region, HeightClass.UPPER)], truth)) <= K
+            errors = fit_errors(result.fits[(region, HeightClass.UPPER)], truth)
+            assert np.all(np.less_equal(errors, (2.9, K, 2.8)))
         assert (Region.ALL, HeightClass.UPPER) in result.fits
 
     def test_empty_samples(self):

@@ -589,9 +589,11 @@ class TestMonteCarloMemory:
     BLOCK_BYTES = _DRAW_CHUNK_ROWS * len(UPPER_SEATS) * 8
 
     def setup_method(self):
-        # First calls allocate numpy's and the registry's one-off state.
-        empirical_coverage(LAYOUT, REGISTRY, self.COVERAGE_CONFIG, HeightClass.UPPER, seed=0, n_draws=10)
-        interference_footprint(LAYOUT, REGISTRY, CONFIG, UPPER_SEATS, HeightClass.UPPER, 0, 10)
+        # First calls allocate numpy's and the registry's one-off state. Two
+        # blocks each, so the draw-ahead worker's imports are done too.
+        n_draws = _DRAW_CHUNK_ROWS + 1
+        empirical_coverage(LAYOUT, REGISTRY, self.COVERAGE_CONFIG, HeightClass.UPPER, seed=0, n_draws=n_draws)
+        interference_footprint(LAYOUT, REGISTRY, CONFIG, UPPER_SEATS, HeightClass.UPPER, 0, n_draws)
 
     def test_coverage_peak_independent_of_draws(self):
         small, large = (

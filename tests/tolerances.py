@@ -4,6 +4,11 @@ For a normally distributed estimate, a correct program lands outside K = 4
 standard errors with probability 2 * (1 - Phi(4)) = 6.3e-5, about one
 assertion in 16,000 on a fresh seed. The tests use fixed seeds, so each one
 either always passes or always fails.
+
+A bound in SEs never exceeds the hand-picked bound it replaced. Where that
+bound was narrower than K SEs of its estimate, the test keeps the narrower
+multiple, rounded down to one decimal, so no rewritten test passes a bias
+that the old one caught.
 """
 
 import math
