@@ -47,10 +47,10 @@ SAMPLE_TAGS = {"seat": int, "region": Region, "height": HeightClass}
 class SampleSet:
     """(distance, path loss) pairs with optional seat/region/height tags: an immutable
     record, validated by its rules when built. Every column is read-only: the float arrays
-    are copies of those given, and each tag column is a categorical TagColumn (or None):
-    read-only intp codes, -1 where a tag is missing, into the tuple of its distinct
-    tags. A tag column may be given as a TagColumn or as any sequence of tags, such as
-    a list or an object array; column[i] is the tag of sample i.
+    are copies of those given, and each tag column is a categorical TagColumn (or None)
+    that owns its read-only intp codes, -1 where a tag is missing, into the tuple of its
+    distinct tags. A tag column may be given as a TagColumn, kept as it is, or as any
+    sequence of tags, such as a list or an object array; column[i] is the tag of sample i.
     dataclasses.replace builds an edited copy and validates it again."""
 
     distance_m: np.ndarray

@@ -15,14 +15,13 @@ builds a record and names the line of the first row its rules reject (first_faul
 from __future__ import annotations
 
 import collections.abc
-import contextlib
 import functools
 import io
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from itertools import compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -397,15 +396,19 @@ def float_cells(values: np.ndarray) -> Iterable[str]:
 @dataclass(frozen=True, eq=False)
 class TagColumn(collections.abc.Sequence):
     """A categorical column of tags: row i has the tag values[codes[i]], or None
-    (a missing tag) where codes[i] is -1; a code outside [-1, len(values)) raises
-    ValueError. codes is a read-only intp array and values holds each distinct tag
-    once, in order of first appearance; [i] and iteration give the tags themselves."""
+    (a missing tag) where codes[i] is -1. codes must be a 1-D integer array (any
+    dtype if empty), each code in [-1, len(values)), else ValueError. The column owns
+    its codes: a read-only intp copy, which no caller holds. values holds each distinct
+    tag once, in order of first appearance; [i] and iteration give the tags themselves."""
 
     codes: np.ndarray
     values: tuple
 
     def __post_init__(self) -> None:
-        codes, values = np.asarray(self.codes, dtype=np.intp).view(), tuple(self.values)
+        codes, values = np.asarray(self.codes), tuple(self.values)
+        if codes.ndim != 1 or codes.size and codes.dtype.kind not in "iu":
+            raise ValueError("tag codes must be a 1-D integer array")
+        codes = codes.astype(np.intp)
         if codes.size and not -1 <= codes.min() <= codes.max() < len(values):
             raise ValueError(f"tag codes must lie in [-1, {len(values)})")
         codes.flags.writeable = False
@@ -540,12 +543,12 @@ def read_csv(text: str, source, kind: str, columns: Sequence[str], record,
     mask, message) pairs. The first bad row raises error naming its line (only the
     source for a fault of no row), with its first fault in the order: the wrong width,
     a cell float() rejects, each rule, a tag its parser rejects. A body with no tag
-    column and only the bytes of _NUMERIC_BYTES is built from one np.loadtxt call.
-    Every other body, and every fault, takes the block path: rows are framed and
-    converted CSV_BLOCK_ROWS at a time by C-level string operations, with no Python
-    step per row or cell, from lines split about _CSV_CHUNK_CHARS characters at a
-    time; the arrays are sized by the count of line feeds. Only a fault splits the
-    whole text, to find its line."""
+    column and only the bytes of _NUMERIC_BYTES is read by one np.loadtxt call, every
+    other body by the block path: rows framed and converted CSV_BLOCK_ROWS at a time by
+    C-level string operations, with no Python step per row or cell, from lines split
+    about _CSV_CHUNK_CHARS characters at a time, into arrays sized by the count of line
+    feeds. One judge builds the record from either, or names the first fault's line,
+    counted through _line_blocks: no body is parsed twice, and no text is split whole."""
     if not text:
         raise error(f"{source}: empty {kind} file")
     head = text[:text.find("\n")] if "\n" in text else text  # no copy of the body
@@ -558,57 +561,56 @@ def read_csv(text: str, source, kind: str, columns: Sequence[str], record,
         if name in header[:i]:
             raise error(f"{source}:1: repeated column {name!r}")
     width, names = len(header), header[len(columns):]
-    if not names:  # sliced only here: a body held through the block path doubles the text
-        arrays = _loadtxt_columns(text[len(head) + 1:], width)
-        if arrays is not None:
-            with contextlib.suppress(ValueError):  # the block path names the faulting line
-                return record(*arrays)
-    n_lines = text.count("\n")  # the lines of the body, which hold its rows
-    arrays, done = [np.empty(n_lines) for _ in columns], 0
-    found = {name: np.empty(n_lines, np.intp) for name in names}
     tables = {name: {} for name in names}  # cell -> code
     distinct = {name: {} for name in names}  # tag -> code
-    stop = None  # the fault of the row after the rows read
-    for block in _line_blocks(text, len(head) + 1):
-        block = list(compress(block, map(str.strip, block, repeat(_BLANK_CHARS))))
-        commas = np.fromiter(map(str.count, block, repeat(",")), int, len(block))
-        wrong = np.flatnonzero(commas != width - 1)
-        rows = len(block) if wrong.size == 0 else int(wrong[0])
-        if rows < len(block):
-            stop = f"expected {width} columns"
-        cells = ",".join(block[:rows]).split(",")
-        values = [_leading_floats(cells[i:rows * width:width]) for i in range(len(columns))]
-        parsed = min(map(len, values))
-        if parsed < rows:
-            rows, stop = parsed, "non-numeric value"
-        for array, column in zip(arrays, values):
-            array[done:done + rows] = column[:rows]
-        for i, name in enumerate(names, len(columns)):
-            table, codes, tag_cells = tables[name], distinct[name], cells[i:rows * width:width]
-            new = set(tag_cells).difference(table)  # spares most blocks the slower ordered pass
-            for cell in filter(new.__contains__, dict.fromkeys(tag_cells) if new else ()):
-                tag = cell.strip()
-                try:
-                    table[cell] = codes.setdefault(tags[name](tag), len(codes)) if tag else -1
-                except ValueError:
-                    table[cell] = _BAD_TAG
-            found[name][done:done + rows] = np.fromiter(map(table.__getitem__, tag_cells),
-                                                        np.intp, rows)
-        done += rows
-        if stop:
-            break
-    arrays, found = [array[:done] for array in arrays], {n: c[:done] for n, c in found.items()}
-    # The stop is first, to win a tie with a fault of no row; no other fault is at its row.
+    found, stop = {}, None  # each tag column's codes; the fault of the row after the rows read
+    # The body is sliced only here: one held through the block path doubles the text.
+    arrays = None if names else _loadtxt_columns(text[len(head) + 1:], width)
+    if arrays is None:  # every other body takes the block path
+        n_lines = text.count("\n")  # the lines of the body, which hold its rows
+        arrays, done = [np.empty(n_lines) for _ in columns], 0
+        found = {name: np.empty(n_lines, np.intp) for name in names}
+        for block in _line_blocks(text, len(head) + 1):
+            block = list(compress(block, map(str.strip, block, repeat(_BLANK_CHARS))))
+            commas = np.fromiter(map(str.count, block, repeat(",")), int, len(block))
+            wrong = np.flatnonzero(commas != width - 1)
+            rows = len(block) if wrong.size == 0 else int(wrong[0])
+            if rows < len(block):
+                stop = f"expected {width} columns"
+            cells = ",".join(block[:rows]).split(",")
+            values = [_leading_floats(cells[i:rows * width:width]) for i in range(len(columns))]
+            parsed = min(map(len, values))
+            if parsed < rows:
+                rows, stop = parsed, "non-numeric value"
+            for array, column in zip(arrays, values):
+                array[done:done + rows] = column[:rows]
+            for i, name in enumerate(names, len(columns)):
+                table, codes, tag_cells = tables[name], distinct[name], cells[i:rows * width:width]
+                new = set(tag_cells).difference(table)  # spares most blocks the slower ordered pass
+                for cell in filter(new.__contains__, dict.fromkeys(tag_cells) if new else ()):
+                    tag = cell.strip()
+                    try:
+                        table[cell] = codes.setdefault(tags[name](tag), len(codes)) if tag else -1
+                    except ValueError:
+                        table[cell] = _BAD_TAG
+                found[name][done:done + rows] = np.fromiter(map(table.__getitem__, tag_cells),
+                                                            np.intp, rows)
+            done += rows
+            if stop:
+                break
+        arrays, found = [array[:done] for array in arrays], {n: c[:done] for n, c in found.items()}
+    # The judge: the stop is first, to win a tie with a fault of no row; none other is at its row.
     faults = [(done, stop)] if stop else []
-    try:
-        built = record(*arrays, **{n: TagColumn(c, distinct[n]) for n, c in found.items()})
+    bad_tags = [(int(np.argmax(found[name] == _BAD_TAG)), "bad tag value")
+                for name in names if _BAD_TAG in tables[name].values()]
+    try:  # each code buffer is let go as its TagColumn copies it
+        built = record(*arrays, **{n: TagColumn(found.pop(n), distinct[n]) for n in names})
     except ValueError:  # a rule's fault, or a _BAD_TAG code, which TagColumn rejects
         faults += filter(None, [first_fault(record.rules(*arrays))])
-    faults += [(int(np.argmax(found[name] == _BAD_TAG)), "bad tag value")
-               for name in names if _BAD_TAG in tables[name].values()]
-    if faults:
+    if faults := faults + bad_tags:
         row, message = min(faults, key=lambda fault: fault[0])
-        kept = compress(count(2), map(str.strip, text.split("\n")[1:], repeat(_BLANK_CHARS)))
+        lines = chain.from_iterable(_line_blocks(text, len(head) + 1))
+        kept = compress(count(2), map(str.strip, lines, repeat(_BLANK_CHARS)))
         line = next(islice(kept, row, None), None)
         raise error(f"{source}: {message}" if line is None else f"{source}:{line}: {message}")
     return built

@@ -235,14 +235,17 @@ def load_measurement_dir(root: str | Path) -> list[MeasurementSet]:
         if (seat, height.value) != (int(match.group(1)), match.group(2)):
             raise PdpFormatError(f"{meta_path}: metadata disagrees with directory name")
 
-        # Sweeps load in the order of their number k, so sweep_10 follows sweep_9.
-        numbered = []
+        # Sweeps load in the order of their number k, so sweep_10 follows sweep_9; two
+        # files of one number, such as sweep_1 and sweep_01, are a fault.
+        numbered = {}
         for sweep_path in sorted(entry.glob("sweep_*.csv")):
             match = _SWEEP_FILE_RE.match(sweep_path.name)
             if match is None:
                 raise PdpFormatError(f"{sweep_path}: file name must be sweep_<k>.csv")
-            numbered.append((int(match.group(1)), sweep_path))
-        sweeps = [load_pdp_csv(sweep_path) for _, sweep_path in sorted(numbered)]
+            k = int(match.group(1))
+            if numbered.setdefault(k, sweep_path) != sweep_path:
+                raise PdpFormatError(f"{numbered[k]} and {sweep_path}: both are sweep {k}")
+        sweeps = [load_pdp_csv(numbered[k]) for k in sorted(numbered)]
         if not sweeps:
             raise PdpFormatError(f"{entry}: no sweep files")
         sets.append(MeasurementSet(seat=seat, height=height, sweeps=sweeps))

@@ -285,6 +285,10 @@ def test_clean_files_skip_the_block_path(tmp_path, monkeypatch):
     samples = read("sample", S + "\n1.5,85\n2e1,9.05E1\n", tmp_path)
     assert samples["path_loss_db"].tolist() == [85.0, 90.5]
     assert read("pdp", P + "\n\n1,-80\n\n2,-81\n", tmp_path)["powers_db"].tolist() == [-80, -81]
+    # A clean body that a rule rejects: the loadtxt arrays go to the judge, which
+    # names the line without parsing the body again.
+    assert read("pdp", P + "\n" + bins(0, 3000) + "0,-80\n", tmp_path) == (
+        "error", "{path}:3002: delays must strictly increase")
     with pytest.raises(AssertionError, match="the block path ran"):  # a comma-only row
         read("pdp", P + "\n1,-80\n,\n2,-81\n", tmp_path)
 

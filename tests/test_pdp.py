@@ -305,6 +305,20 @@ class TestMeasurementIo:
         write_measurement_dir(tmp_path / "campaign", sets)
         assert len(load_measurement_dir(tmp_path / "campaign")) == 72
 
+    def test_repeated_sweep_number_rejected(self, tmp_path):
+        # Both files loaded as sweep 1, and process averaged -80 and -90 dB.
+        entry = tmp_path / "1_upper"
+        entry.mkdir()
+        (entry / "meta.json").write_text('{"seat": 1, "height": "upper"}')
+        (entry / "sweep_1.csv").write_text("delay_ns,power_db\n1.0,-80\n")
+        (entry / "sweep_01.csv").write_text("delay_ns,power_db\n1.0,-90\n")
+        with pytest.raises(PdpFormatError) as exc:
+            load_measurement_dir(tmp_path)
+        assert str(exc.value) == (f"{entry / 'sweep_01.csv'} and {entry / 'sweep_1.csv'}: "
+                                  "both are sweep 1")
+        (entry / "sweep_01.csv").rename(entry / "sweep_2.csv")
+        assert [len(s.sweeps) for s in load_measurement_dir(tmp_path)] == [2]
+
     def test_missing_meta_rejected(self, tmp_path):
         d = tmp_path / "1_upper"
         d.mkdir()

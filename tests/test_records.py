@@ -119,3 +119,26 @@ def test_tag_codes_at_the_range_ends():
     assert list(TagColumn(np.array([-1, 1, 0]), ("x", "y"))) == [None, "y", "x"]
     assert list(TagColumn(np.array([-1, -1]), ())) == [None, None]
     assert len(TagColumn(np.array([], dtype=np.intp), ())) == 0
+
+
+def test_tag_column_owns_its_codes():
+    # The column kept a view of the caller's codes: codes[0] = 7 then made column[0]
+    # raise IndexError.
+    codes = np.array([0, 1, 0])
+    column = TagColumn(codes, (Region.A, Region.B))
+    codes[0] = 7
+    assert column.codes.tolist() == [0, 1, 0] and column[0] is Region.A
+    assert codes.flags.writeable and column.codes.dtype == np.intp
+    assert TagColumn(np.array([1, 0], np.uint8), ("x", "y")).codes.dtype == np.intp
+    assert len(TagColumn(np.array([]), ())) == len(TagColumn([], (Region.A,))) == 0
+
+
+@pytest.mark.parametrize("codes", [np.zeros((3, 1), int), np.array([0.7, 0.2]),
+                                   np.array([True, False]), np.array([[]], dtype=np.intp)],
+                         ids=["2-d", "float", "bool", "empty-2-d"])
+def test_tag_codes_must_be_a_1d_integer_array(codes):
+    # A (3, 1) column built a SampleSet that samples_to_csv failed on with a TypeError
+    # and fit_by_partition with "condition must be a 1-d array"; float codes were
+    # truncated to [0 0].
+    with pytest.raises(ValueError, match=r"^tag codes must be a 1-D integer array$"):
+        TagColumn(codes, (Region.A,))
