@@ -487,10 +487,10 @@ class TestDrawAhead:
                                    _DRAW_CHUNK_ROWS + 1)
 
 
-def monte_carlo_digest(n_draws, height, use_all_model, snr_threshold_db=5.0, zero_sigma=False):
-    """The first 128 bits of the SHA-256 of float.hex of every FootprintSummary
-    field (all eligible seats active) and every empirical_coverage fraction, seed
-    23, 20 dBm budget."""
+def monte_carlo_digests(n_draws, height, use_all_model, snr_threshold_db=5.0, zero_sigma=False):
+    """(footprint, coverage): the first 128 bits of the SHA-256 of float.hex of every
+    FootprintSummary field (all eligible seats active), and of every
+    empirical_coverage fraction, seed 23, 20 dBm budget."""
     registry = ({key: replace(m, sigma_db=0.0) for key, m in REGISTRY.items()}
                 if zero_sigma else REGISTRY)
     config = LinkBudgetConfig(tx_power_dbm=20.0, snr_threshold_db=snr_threshold_db)
@@ -498,44 +498,92 @@ def monte_carlo_digest(n_draws, height, use_all_model, snr_threshold_db=5.0, zer
     footprint = interference_footprint(LAYOUT, registry, config, seats, height, 23, n_draws,
                                        use_all_model)
     coverage = empirical_coverage(LAYOUT, registry, config, height, 23, n_draws, use_all_model)
-    lines = [f"{s.seat_id} {s.mean_db.hex()} {s.median_db.hex()} {s.p05_db.hex()}"
-             for s in footprint]
-    lines += [f"{seat_id} {fraction.hex()}" for seat_id, fraction in coverage.items()]
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:32]
+    return tuple(hashlib.sha256("\n".join(lines).encode()).hexdigest()[:32] for lines in (
+        [f"{s.seat_id} {s.mean_db.hex()} {s.median_db.hex()} {s.p05_db.hex()}" for s in footprint],
+        [f"{seat_id} {fraction.hex()}" for seat_id, fraction in coverage.items()]))
 
 
 class TestMonteCarloBits:
     """The footprint and coverage outputs, bit for bit, as recorded on numpy 2.4
-    (x86-64). tests/golden compares to a relative 1e-12, so only this catches a
-    changed last bit; a numpy or libm whose pow or log10 rounds differently fails
-    here too. The draw counts straddle the 4,096-row block."""
+    (x86-64), each under its own digest. tests/golden compares to a relative 1e-12,
+    so only this catches a changed last bit; a numpy or libm whose pow or log10
+    rounds differently fails here too. The draw counts straddle the 4,096-row
+    block."""
 
-    @pytest.mark.parametrize("case, digest", [
-        ((1, HeightClass.UPPER, False), "d6b7dc1a63ccda1a94e9e5bde7e35e3b"),
-        ((1, HeightClass.UPPER, True), "a8695190b6a4b9e4adcb5e5e534249fc"),
-        ((1, HeightClass.LOWER, False), "60d4dd4f35882bbb39f8639bc49b2d97"),
-        ((1, HeightClass.LOWER, True), "bc42201bd658659016f5613bf09103ba"),
-        ((4095, HeightClass.UPPER, False), "972003ce1c739e0175d28deb34bd375d"),
-        ((4095, HeightClass.UPPER, True), "4929ec9e02019fcbf65129bbf5764f72"),
-        ((4095, HeightClass.LOWER, False), "2ebeb1b00135cf7cb62b010c2a8d429a"),
-        ((4095, HeightClass.LOWER, True), "07f1d768754e81533ac2b11a75efa3b1"),
-        ((4097, HeightClass.UPPER, False), "b0d9b7dadaacab6453c5708df73fcf2a"),
-        ((4097, HeightClass.UPPER, True), "fd000bfa070f5b5dfbbaf4d7efdd0ef2"),
-        ((4097, HeightClass.LOWER, False), "d998650db30e6646fece5645aff43d37"),
-        ((4097, HeightClass.LOWER, True), "9cd358749a6c71e4373a08115813fda1"),
-        ((20000, HeightClass.UPPER, False), "63fa5d4001a48bd4a13454920dbfa000"),
-        ((20000, HeightClass.UPPER, True), "9c5fa76f71cc8ebc23f70405e6e7337f"),
-        ((20000, HeightClass.LOWER, False), "ff40a2c72c8440c0f92dc40f97c2c2cd"),
-        ((20000, HeightClass.LOWER, True), "756a40fa578a3daeb5d05804a54c0ab0"),
-        ((4097, HeightClass.UPPER, False, math.inf), "0a8beae9d50eb83a198009bdadb94206"),
-        ((4097, HeightClass.UPPER, False, -math.inf), "1be2c002513c771165e3b1c2a4a50062"),
-        ((4097, HeightClass.LOWER, False, math.inf), "73956705d8f30af6ecd55790e39dad9e"),
-        ((4097, HeightClass.LOWER, False, -math.inf), "ae1c21ab071784132e5f6780a360d6ad"),
-        ((4097, HeightClass.UPPER, False, 5.0, True), "46df4849e9ddd571a7189c088bc39377"),
-        ((4097, HeightClass.LOWER, False, 5.0, True), "ccbb1e4e80817889849a8cb6d5929456"),
-    ])
-    def test_outputs_unchanged(self, case, digest):
-        assert monte_carlo_digest(*case) == digest
+    # Each case keeps the test id it had when one digest hashed both outputs.
+    IDS = [
+        "d6b7dc1a63ccda1a94e9e5bde7e35e3b",
+        "a8695190b6a4b9e4adcb5e5e534249fc",
+        "60d4dd4f35882bbb39f8639bc49b2d97",
+        "bc42201bd658659016f5613bf09103ba",
+        "972003ce1c739e0175d28deb34bd375d",
+        "4929ec9e02019fcbf65129bbf5764f72",
+        "2ebeb1b00135cf7cb62b010c2a8d429a",
+        "07f1d768754e81533ac2b11a75efa3b1",
+        "b0d9b7dadaacab6453c5708df73fcf2a",
+        "fd000bfa070f5b5dfbbaf4d7efdd0ef2",
+        "d998650db30e6646fece5645aff43d37",
+        "9cd358749a6c71e4373a08115813fda1",
+        "63fa5d4001a48bd4a13454920dbfa000",
+        "9c5fa76f71cc8ebc23f70405e6e7337f",
+        "ff40a2c72c8440c0f92dc40f97c2c2cd",
+        "756a40fa578a3daeb5d05804a54c0ab0",
+        "0a8beae9d50eb83a198009bdadb94206",
+        "1be2c002513c771165e3b1c2a4a50062",
+        "73956705d8f30af6ecd55790e39dad9e",
+        "ae1c21ab071784132e5f6780a360d6ad",
+        "46df4849e9ddd571a7189c088bc39377",
+        "ccbb1e4e80817889849a8cb6d5929456",
+    ]
+
+    @pytest.mark.parametrize("case, footprint, coverage", [
+        ((1, HeightClass.UPPER, False), "69563c803a0f61c77d773a4e0fbfeeb4",
+         "7d133482a07acdc0f7c4078ef30d723c"),
+        ((1, HeightClass.UPPER, True), "4f614923c9f1523dee66d6abfd2a17fb",
+         "7d133482a07acdc0f7c4078ef30d723c"),
+        ((1, HeightClass.LOWER, False), "773c9d1f60c2ff908f6bca5d64340c4d",
+         "a331bbf80b2a1af5a7c2b4c4de5c03c4"),
+        ((1, HeightClass.LOWER, True), "0a500a09cd5aa0a9cc8ea54b99d5b849",
+         "02044f4e3e85b289c3044e67bda2fab8"),
+        ((4095, HeightClass.UPPER, False), "66631ae661153e3ff37462c3c1822b36",
+         "2649e953a21cff1ee6d52af7aaa1165e"),
+        ((4095, HeightClass.UPPER, True), "c98e338848ec94dc64d717791972808b",
+         "af94d91d1b43409ce10eb9f96c7e76c9"),
+        ((4095, HeightClass.LOWER, False), "057d6c7b9d3d33d13ce018c529b0f337",
+         "79c7e158487d22ce71c2d1b030df4134"),
+        ((4095, HeightClass.LOWER, True), "911665ff4dfb1219ab2362ab11ac67cc",
+         "a4b22927fa5ebb809c3479fc62ab782a"),
+        ((4097, HeightClass.UPPER, False), "618d05b5c098ac88bc6070cd119d1a85",
+         "9001d6b63785ef52aa13e3d064e9caab"),
+        ((4097, HeightClass.UPPER, True), "cfba1d3143ff5f285fc5cfc66df82436",
+         "9dc41d0fb2f4431b55bd11b2dbedfbb9"),
+        ((4097, HeightClass.LOWER, False), "ab39513f6e1e93629f525d5a734e29f9",
+         "119aab4e6043593473f3bfb3adb367a3"),
+        ((4097, HeightClass.LOWER, True), "ef4f4ee06146bc10405431174bae02ed",
+         "58ff8553bedd57770fd8dd3f5197b370"),
+        ((20000, HeightClass.UPPER, False), "b7a345be286a8fd521f1973e12d59054",
+         "c5a3ae3048d18b6be667788a65885c24"),
+        ((20000, HeightClass.UPPER, True), "d3f2eb3e06574af28bb7ae8c05daf873",
+         "716220593ce873d0618269f0f4ea2735"),
+        ((20000, HeightClass.LOWER, False), "876dd7a46e4803abad1abd13aa2d57cd",
+         "63db99584ca8ad666eb2631ffacfea44"),
+        ((20000, HeightClass.LOWER, True), "1bac6f2a902a2d8bd79b65b4fc10ad6d",
+         "cb75223b28661d54f6ee1422e1a3a763"),
+        ((4097, HeightClass.UPPER, False, math.inf), "618d05b5c098ac88bc6070cd119d1a85",
+         "f3ef5d26e9686ce386d4221a6759e284"),
+        ((4097, HeightClass.UPPER, False, -math.inf), "618d05b5c098ac88bc6070cd119d1a85",
+         "1abf02853e452a00416a985eb7ef3a5c"),
+        ((4097, HeightClass.LOWER, False, math.inf), "ab39513f6e1e93629f525d5a734e29f9",
+         "a225431d16bf0d25eb024ebd2ed84fb1"),
+        ((4097, HeightClass.LOWER, False, -math.inf), "ab39513f6e1e93629f525d5a734e29f9",
+         "a28b3303b787613ff638086f6e210415"),
+        ((4097, HeightClass.UPPER, False, 5.0, True), "3b21ddf457ba2d9b6f91d22ce9b97ad5",
+         "3b29773ec5eff3ea9523e649ca307dab"),
+        ((4097, HeightClass.LOWER, False, 5.0, True), "825a05055f056b755bcb3100c0f6d003",
+         "18b9738c921c10d1c880776667ca73ec"),
+    ], ids=[f"case{i}-{name}" for i, name in enumerate(IDS)])
+    def test_outputs_unchanged(self, case, footprint, coverage):
+        assert monte_carlo_digests(*case) == (footprint, coverage)
 
 
 class TestRowStats:
