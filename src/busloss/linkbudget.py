@@ -34,11 +34,12 @@ THERMAL_NOISE_DBM_PER_HZ = -174.0  # 290 K reference
 # limit; coverage only counts, so its memory does not grow with the draws.
 MAX_DRAW_LINKS = 50_000_000
 
-# Draws per path-loss block. Each block is drawn from the same Generator in
-# turn, so the blocks concatenate to the single (n_draws, k) draw bit for bit.
-# With 30 links, 1,024 to 16,384 rows ran equally fast and 65,536 rows ran
-# about 20% slower: larger blocks' temporaries fall out of cache.
+# Draws per path-loss block. The footprint's come from one Generator in turn, so
+# they concatenate to the single (n_draws, k) draw bit for bit; coverage counts
+# block i, from its own generator, in share i % _COVERAGE_SHARES. With 30 links,
+# 1,024 to 16,384 rows ran equally fast and 65,536 rows about 20% slower.
 _DRAW_CHUNK_ROWS = 4096
+_COVERAGE_SHARES = 2
 
 ModelMap = Mapping[tuple[Region, HeightClass], PathLossModel]
 
@@ -180,6 +181,13 @@ def seat_sweep(
             for seat_id, d, pl, sigma, snr in rows]
 
 
+def _check_draws(n_draws: int, n_links: int) -> None:
+    if n_draws < 1:
+        raise ValueError("n_draws must be >= 1")
+    if n_draws * n_links > MAX_DRAW_LINKS:
+        raise ValueError(f"{n_draws} draws x {n_links} links is over {MAX_DRAW_LINKS}")
+
+
 def _standard_normals(seed: int, n_draws: int, n_links: int) -> Iterator[tuple[int, np.ndarray]]:
     """Standard normal shadowing for n_draws draws of n_links links, as (start,
     block) pairs of at most _DRAW_CHUNK_ROWS draws by n_links links, where block
@@ -189,13 +197,9 @@ def _standard_normals(seed: int, n_draws: int, n_links: int) -> Iterator[tuple[i
     it in place. With more than one block, one worker thread draws the next
     block into a second buffer while the caller works on the current one. The
     worker ends before the last block is yielded, or when the generator is
-    closed. n_draws is checked when this is called, before any buffer exists:
-    it must be >= 1 and n_draws * n_links at most MAX_DRAW_LINKS.
+    closed. _check_draws checks n_draws when this is called, before any buffer.
     """
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
-    if n_draws * n_links > MAX_DRAW_LINKS:
-        raise ValueError(f"{n_draws} draws x {n_links} links is over {MAX_DRAW_LINKS}")
+    _check_draws(n_draws, n_links)
     return _drawn_ahead(np.random.default_rng(seed), n_draws, n_links)
 
 
@@ -326,16 +330,27 @@ def empirical_coverage(
     """Fraction of shadowing draws whose SNR clears the threshold, per seat.
 
     A draw of link j clears it when its path loss, means[j] + sigmas[j] * z, is
-    at most max_path_loss_db(config). The draws are counted block by block, each
-    block's path loss formed in place in the draw buffer, so memory does not
-    grow with n_draws.
+    at most max_path_loss_db(config). Block i of the draws comes from its own
+    generator, seeded by SeedSequence(seed).spawn(i + 1)[i]. A pool thread counts
+    blocks 1, 3, ... while the caller counts 0, 2, ..., each in one reused buffer,
+    and the integer counts are summed: the result does not depend on the
+    scheduling, and memory does not grow with n_draws.
     """
     ids, _, means, sigmas = _links(layout, models, height, None, use_all_model)
-    pl_max, counts = max_path_loss_db(config), np.zeros(len(ids), dtype=np.int64)
-    with closing(_standard_normals(seed, n_draws, len(ids))) as blocks:
-        for _, z in blocks:
+    _check_draws(n_draws, len(ids))
+    pl_max, starts = max_path_loss_db(config), range(0, n_draws, min(_DRAW_CHUNK_ROWS, n_draws))
+
+    def count(share: int) -> np.ndarray:
+        z, counts = np.empty((starts.step, len(ids))), np.zeros(len(ids), dtype=np.int64)
+        for i in range(share, len(starts), _COVERAGE_SHARES):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            z = rng.standard_normal(out=z[:n_draws - starts[i]])
             path_loss = np.add(means, np.multiply(sigmas, z, out=z), out=z)
             counts += np.count_nonzero(path_loss <= pl_max, axis=0)
+        return counts
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(_COVERAGE_SHARES) as pool:  # one thread per share submitted
+        counts = sum(pool.map(count, range(1, min(_COVERAGE_SHARES, len(starts)))), count(0))
     return dict(zip(ids, (counts / n_draws).tolist()))
 
 

@@ -342,19 +342,35 @@ REGISTRY = builtin_registry()
 UPPER_SEATS = seats_in_group(LAYOUT, Region.ALL, HeightClass.UPPER)
 
 
-def one_shot_path_loss(seat_ids, height, seed, n_draws):
-    """The single (n_draws, k) draw from one Generator that the blocks must reproduce."""
+def shadowed_path_loss(seat_ids, height, z):
+    """means + sigmas * z for the seats' links, z a (draws, seats) array of standard normals."""
     models = [REGISTRY[(LAYOUT.seat(s).group, height)] for s in seat_ids]
     means = np.array([mean_path_loss(m, link_distance(LAYOUT, s, height))
                       for m, s in zip(models, seat_ids)])
     sigmas = np.array([m.sigma_db for m in models])
-    return means + sigmas * np.random.default_rng(seed).standard_normal((n_draws, len(seat_ids)))
+    return means + sigmas * z
+
+
+def one_shot_path_loss(seat_ids, height, seed, n_draws):
+    """The single (n_draws, k) draw from one Generator that the footprint's blocks
+    must reproduce."""
+    z = np.random.default_rng(seed).standard_normal((n_draws, len(seat_ids)))
+    return shadowed_path_loss(seat_ids, height, z)
+
+
+def per_block_path_loss(seat_ids, height, seed, n_draws, rows):
+    """The draws coverage counts: block i, of rows draws, from its own generator,
+    seeded by SeedSequence(seed, spawn_key=(i,))."""
+    z = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))).standard_normal(
+        (min(rows, n_draws - start), len(seat_ids))) for i, start in enumerate(range(0, n_draws, rows))]
+    return shadowed_path_loss(seat_ids, height, np.concatenate(z))
 
 
 class TestDrawBlocks:
-    """The block-wise engine against one full draw, with blocks of 1-5 rows so that
-    every n_draws meets the block edges differently. Equality is exact: the
-    blocks hold the same numbers in the same order."""
+    """The block-wise engine against one full draw (the footprint) or one draw per
+    block (coverage), with blocks of 1-5 rows so that every n_draws meets the block
+    edges differently. Equality is exact: the blocks hold the same numbers in the
+    same order."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -392,9 +408,29 @@ class TestDrawBlocks:
         ]
 
         seat_ids = seats_in_group(LAYOUT, Region.ALL, height)
-        pl = one_shot_path_loss(seat_ids, height, seed, n_draws)
+        pl = per_block_path_loss(seat_ids, height, seed, n_draws, rows)
         fractions = np.mean(pl <= max_path_loss_db(config), axis=0)
         assert coverage == {seat_id: fractions[i] for i, seat_id in enumerate(seat_ids)}
+
+    @pytest.mark.parametrize("rows, n_draws", [(3, 1), (3, 4), (3, 10), (3, 17),
+                                               (_DRAW_CHUNK_ROWS, 3 * _DRAW_CHUNK_ROWS + 5)])
+    def test_coverage_independent_of_shares(self, rows, n_draws):
+        config = LinkBudgetConfig(tx_power_dbm=25.0)
+        results = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("busloss.linkbudget._DRAW_CHUNK_ROWS", rows)
+            for shares in (1, 2, 3):
+                mp.setattr("busloss.linkbudget._COVERAGE_SHARES", shares)
+                results.append(empirical_coverage(LAYOUT, REGISTRY, config, HeightClass.UPPER,
+                                                  11, n_draws))
+        assert results[0] == results[1] == results[2]
+        pl = per_block_path_loss(UPPER_SEATS, HeightClass.UPPER, 11, n_draws, rows)
+        assert list(results[0].values()) == np.mean(pl <= max_path_loss_db(config), axis=0).tolist()
+
+    def test_block_seed_is_a_spawned_child(self):
+        children = np.random.SeedSequence(11).spawn(5)
+        assert [c.generate_state(4).tolist() for c in children] == [
+            np.random.SeedSequence(11, spawn_key=(i,)).generate_state(4).tolist() for i in range(5)]
 
 
 class TestDrawAhead:
@@ -449,6 +485,22 @@ class TestDrawAhead:
             interference_footprint(LAYOUT, REGISTRY, CONFIG, UPPER_SEATS, HeightClass.UPPER, 3,
                                    3 * _DRAW_CHUNK_ROWS)
         assert raised.traceback and counts == [before + 1] * 2
+        assert threading.active_count() == before
+
+        # Coverage: the second block counted raises, on the caller's thread or the
+        # pool's, and the other share may count its next block meanwhile.
+        counted, count_nonzero = [], np.count_nonzero
+
+        def failing_count_nonzero(*args, **kwargs):
+            counted.append(threading.active_count())
+            if len(counted) == 2:
+                raise RuntimeError("second block")
+            return count_nonzero(*args, **kwargs)
+
+        monkeypatch.setattr(np, "count_nonzero", failing_count_nonzero)
+        with pytest.raises(RuntimeError, match="second block"):
+            empirical_coverage(LAYOUT, REGISTRY, CONFIG, HeightClass.UPPER, 3, 3 * _DRAW_CHUNK_ROWS)
+        assert counted in ([before + 1] * 2, [before + 1] * 3)
         assert threading.active_count() == before
 
     def test_concurrent_calls_agree_with_serial(self):
@@ -538,37 +590,37 @@ class TestMonteCarloBits:
 
     @pytest.mark.parametrize("case, footprint, coverage", [
         ((1, HeightClass.UPPER, False), "69563c803a0f61c77d773a4e0fbfeeb4",
-         "7d133482a07acdc0f7c4078ef30d723c"),
+         "d1742ed994fb20287bf8085b2af7eb98"),
         ((1, HeightClass.UPPER, True), "4f614923c9f1523dee66d6abfd2a17fb",
-         "7d133482a07acdc0f7c4078ef30d723c"),
+         "76f4e52a18c39183901e8f9ec477f6ee"),
         ((1, HeightClass.LOWER, False), "773c9d1f60c2ff908f6bca5d64340c4d",
-         "a331bbf80b2a1af5a7c2b4c4de5c03c4"),
+         "8575360032d38a5c80a20b03bac82657"),
         ((1, HeightClass.LOWER, True), "0a500a09cd5aa0a9cc8ea54b99d5b849",
-         "02044f4e3e85b289c3044e67bda2fab8"),
+         "8575360032d38a5c80a20b03bac82657"),
         ((4095, HeightClass.UPPER, False), "66631ae661153e3ff37462c3c1822b36",
-         "2649e953a21cff1ee6d52af7aaa1165e"),
+         "046f545120469ff0ea04d01db6fdbdcc"),
         ((4095, HeightClass.UPPER, True), "c98e338848ec94dc64d717791972808b",
-         "af94d91d1b43409ce10eb9f96c7e76c9"),
+         "d5ac30d5bf3d7d716d3d2249dfdcb05f"),
         ((4095, HeightClass.LOWER, False), "057d6c7b9d3d33d13ce018c529b0f337",
-         "79c7e158487d22ce71c2d1b030df4134"),
+         "1346fbb3c06c5fd88f9719695abc855b"),
         ((4095, HeightClass.LOWER, True), "911665ff4dfb1219ab2362ab11ac67cc",
-         "a4b22927fa5ebb809c3479fc62ab782a"),
+         "0128dd30a6d0562f70ebb216b1c0d0ed"),
         ((4097, HeightClass.UPPER, False), "618d05b5c098ac88bc6070cd119d1a85",
-         "9001d6b63785ef52aa13e3d064e9caab"),
+         "947df76a3151f4b8c50e06719e594082"),
         ((4097, HeightClass.UPPER, True), "cfba1d3143ff5f285fc5cfc66df82436",
-         "9dc41d0fb2f4431b55bd11b2dbedfbb9"),
+         "24d872d7f520aa8658d05bea118b8501"),
         ((4097, HeightClass.LOWER, False), "ab39513f6e1e93629f525d5a734e29f9",
-         "119aab4e6043593473f3bfb3adb367a3"),
+         "a61a8896bdaaef278feaff7495b19ffe"),
         ((4097, HeightClass.LOWER, True), "ef4f4ee06146bc10405431174bae02ed",
-         "58ff8553bedd57770fd8dd3f5197b370"),
+         "dcf72407aa96151c4e1a7d66105557c4"),
         ((20000, HeightClass.UPPER, False), "b7a345be286a8fd521f1973e12d59054",
-         "c5a3ae3048d18b6be667788a65885c24"),
+         "fd03088895b64eff9d0d24922d049e19"),
         ((20000, HeightClass.UPPER, True), "d3f2eb3e06574af28bb7ae8c05daf873",
-         "716220593ce873d0618269f0f4ea2735"),
+         "9c7a93c81a5d55ae9185a27607556419"),
         ((20000, HeightClass.LOWER, False), "876dd7a46e4803abad1abd13aa2d57cd",
-         "63db99584ca8ad666eb2631ffacfea44"),
+         "9418d31b164430615633cce7f710d551"),
         ((20000, HeightClass.LOWER, True), "1bac6f2a902a2d8bd79b65b4fc10ad6d",
-         "cb75223b28661d54f6ee1422e1a3a763"),
+         "028e4e7bfd9e14df9f1aa8366964eacc"),
         ((4097, HeightClass.UPPER, False, math.inf), "618d05b5c098ac88bc6070cd119d1a85",
          "f3ef5d26e9686ce386d4221a6759e284"),
         ((4097, HeightClass.UPPER, False, -math.inf), "618d05b5c098ac88bc6070cd119d1a85",
