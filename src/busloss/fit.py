@@ -24,6 +24,7 @@ from .models import (
     float_columns,
     model_to_dict,
     read_csv,
+    sample_path_loss,
 )
 
 
@@ -179,24 +180,15 @@ def fit_by_partition(samples: SampleSet) -> PartitionFit:
     return result
 
 
-def _draw(model: PathLossModel, distances: Sequence[float], seed: int):
-    """(distances, shadow-faded path losses) at the distances, reproducible per seed."""
-    rng = np.random.default_rng(seed)
-    d = np.asarray(distances, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):  # SampleSet rejects d <= 0
-        means = model.alpha_db + 10.0 * model.beta * np.log10(d)
-    return d, means + model.sigma_db * rng.standard_normal(len(d))
-
-
 def synth_samples(
     model: PathLossModel, distances: Sequence[float], seed: int
 ) -> SampleSet:
     """Shadow-faded samples at the given distances, reproducible per seed."""
-    d, losses = _draw(model, distances, seed)
+    d = np.asarray(distances, dtype=float)
     n = len(d)
     return SampleSet(
         d,
-        losses,
+        sample_path_loss(model, d, np.random.default_rng(seed), n),
         region=[model.region] * n if model.region is not None else None,
         height=[model.height] * n if model.height is not None else None,
     )
@@ -207,7 +199,8 @@ def synth_seat_samples(model: PathLossModel, layout: BusLayout, height: HeightCl
     """synth_samples's draw at the seat_links(layout, height) distances, each sample
     tagged with its link's seat and group and with height."""
     ids, groups, distances = seat_links(layout, height)
-    d, losses = _draw(model, distances, seed)
+    d = np.asarray(distances, dtype=float)
+    losses = sample_path_loss(model, d, np.random.default_rng(seed), len(d))
     return SampleSet(d, losses, seat=ids, region=groups, height=[height] * len(ids))
 
 

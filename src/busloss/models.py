@@ -119,8 +119,12 @@ def _check_distance(d: float) -> float:
     return d
 
 
-def mean_path_loss(model: PathLossModel, d: float) -> float:
-    """Deterministic mean path loss in dB at distance d metres."""
+def mean_path_loss(model: PathLossModel, d: float | np.ndarray):
+    """Deterministic mean path loss in dB at distance d metres. d is a float, or an
+    array whose entries d <= 0 give -inf or NaN for the caller to reject."""
+    if isinstance(d, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return model.alpha_db + 10.0 * model.beta * np.log10(d)
     d = _check_distance(d)
     return model.alpha_db + 10.0 * model.beta * math.log10(d)
 
@@ -141,11 +145,11 @@ def is_extrapolated(d: float) -> bool:
 
 def sample_path_loss(
     model: PathLossModel,
-    d: float,
+    d: float | np.ndarray,
     rng: np.random.Generator,
     size: int | None = None,
 ):
-    """Draw shadow-faded path loss values; scalar when size is None.
+    """Draw shadow-faded path loss values at d (see mean_path_loss); scalar when size is None.
 
     The caller owns the generator, so identical generator state yields
     identical draws.

@@ -87,6 +87,22 @@ class TestMeanPathLoss:
         with pytest.raises(ValueError):
             mean_path_loss(ALL_LOWER, d)
 
+    def test_array_uses_numpy_log10_and_float_math_log10(self):
+        # The two log10s round differently for some distances: synth draws at an
+        # array and perfbench's reference at floats, so each keeps its own bits.
+        d = np.geomspace(0.5, 15, 500)
+        for model in builtin_models():
+            assert mean_path_loss(model, d).tobytes() == (
+                model.alpha_db + 10.0 * model.beta * np.log10(d)).tobytes()
+            assert [mean_path_loss(model, x) for x in d.tolist()] == [
+                model.alpha_db + 10.0 * model.beta * math.log10(x) for x in d.tolist()]
+
+    def test_array_leaves_bad_distances_to_the_caller(self):
+        # No warning either: pyproject.toml makes a RuntimeWarning an error.
+        means = mean_path_loss(ALL_LOWER, np.array([0.0, -1.0, 2.0]))
+        assert np.isneginf(means[0]) and np.isnan(means[1])
+        assert means[2] == pytest.approx(mean_path_loss(ALL_LOWER, 2.0), rel=1e-15)
+
     def test_monotone_in_distance(self):
         for model in builtin_models():
             losses = [mean_path_loss(model, d) for d in np.linspace(0.5, 15, 50)]
@@ -117,6 +133,12 @@ class TestSamplePathLoss:
         assert type(value) is float
         assert value == mean_path_loss(ALL_LOWER, d) + ALL_LOWER.sigma_db * float(
             np.random.default_rng(seed).standard_normal())
+
+    def test_array_of_distances(self):
+        d = np.array([0.5, 3.3, 12.0])
+        draws = sample_path_loss(ALL_LOWER, d, np.random.default_rng(42), size=len(d))
+        z = np.random.default_rng(42).standard_normal(len(d))
+        assert draws.tobytes() == (mean_path_loss(ALL_LOWER, d) + ALL_LOWER.sigma_db * z).tobytes()
 
     def test_moments_match_model(self):
         rng = np.random.default_rng(7)
