@@ -506,10 +506,13 @@ class TestDrawAhead:
     def test_concurrent_calls_agree_with_serial(self):
         # More callers than cores, each with its own worker, switching threads often.
         n_draws, seeds = 3 * _DRAW_CHUNK_ROWS + 5, range(4)
+        coverage_config = LinkBudgetConfig(tx_power_dbm=25.0)
 
         def call(seed):
-            return interference_footprint(LAYOUT, REGISTRY, CONFIG, UPPER_SEATS[:6],
-                                          HeightClass.UPPER, seed, n_draws)
+            return (interference_footprint(LAYOUT, REGISTRY, CONFIG, UPPER_SEATS[:6],
+                                           HeightClass.UPPER, seed, n_draws),
+                    empirical_coverage(LAYOUT, REGISTRY, coverage_config, HeightClass.LOWER, seed,
+                                       n_draws))
 
         serial, results = [call(seed) for seed in seeds], {}
         interval = sys.getswitchinterval()
