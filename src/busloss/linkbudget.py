@@ -118,11 +118,8 @@ class FootprintSummary:
 
 def noise_floor_dbm(config: LinkBudgetConfig) -> float:
     """Thermal noise power over the receive bandwidth plus the noise figure."""
-    return (
-        THERMAL_NOISE_DBM_PER_HZ
-        + 10.0 * math.log10(config.bandwidth_hz)
-        + config.noise_figure_db
-    )
+    return (THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(config.bandwidth_hz)
+            + config.noise_figure_db)
 
 
 def rx_power_dbm(config: LinkBudgetConfig, pl_db):
@@ -231,35 +228,46 @@ def _row_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     ndarray.partition with one kth (a SIMD quickselect in numpy >= 2, several
     times faster than with a list of kths) puts rank k at column k and ranks
-    0..k-1 before it, so rank k - 1 is their max. A row whose mean is NaN holds
-    a NaN or both infinities; it goes through numpy's own functions, which give
-    NaN for a NaN row.
+    0..k-1 before it, so rank k - 1 is their max: a row is partitioned at the median
+    rank, then only its ranks up to the median at the 5th percentile's. A row whose
+    mean is NaN holds a NaN or both infinities; numpy's own functions give it NaN.
     """
     n = rows.shape[1]
     # The mean reads each row in draw order, so it goes before any partition.
     means = np.mean(rows, axis=1)
-    # numpy's virtual index v = (n - 1) q lies between ranks floor(v) and
-    # floor(v) + 1, weighted by g = v - floor(v). For n = 1 both are the last
-    # rank, which numpy indexes as -1, so g = v + 1.
-    v = (n - 1) * (5.0 / 100)
-    if n > 1:
-        k = math.floor(v) + 1
-        rows.partition(k, axis=1)
-        a, b, g = rows[:, :k].max(axis=1), rows[:, k], v - (k - 1)
-    else:
-        a, b, g = rows[:, 0], rows[:, 0], v + 1.0
-    # numpy's _lerp, which interpolates from the nearer neighbour.
-    p05s = b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
     half = n // 2
     rows.partition(half, axis=1)
     if n % 2:
         medians = np.mean(rows[:, half:half + 1], axis=1)
     else:
         medians = np.mean(np.stack((rows[:, :half].max(axis=1), rows[:, half]), axis=1), axis=1)
+    # numpy's virtual index v = (n - 1) q lies between ranks floor(v) and
+    # floor(v) + 1, weighted by g = v - floor(v). For n = 1 both are the last
+    # rank, which numpy indexes as -1, so g = v + 1.
+    v = (n - 1) * (5.0 / 100)
+    if n > 1:
+        k = math.floor(v) + 1  # at most half, whose ranks 0..half lead the row
+        rows[:, :half + 1].partition(k, axis=1)
+        a, b, g = rows[:, :k].max(axis=1), rows[:, k], v - (k - 1)
+    else:
+        a, b, g = rows[:, 0], rows[:, 0], v + 1.0
+    # numpy's _lerp, which interpolates from the nearer neighbour.
+    p05s = b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
     for i in np.flatnonzero(np.isnan(means)):
         p05s[i] = np.percentile(rows[i], 5.0, overwrite_input=True)
         medians[i] = np.median(rows[i], overwrite_input=True)
     return means, medians, p05s
+
+
+def _on_threads(work, parts) -> list:
+    """[work(part) for part in parts], the first on the caller and each other on a pool
+    thread; concurrent.futures, which loads logging, is imported only for those."""
+    if len(parts) < 2:
+        return [work(part) for part in parts]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(len(parts) - 1) as pool:
+        others = pool.map(work, parts[1:])
+        return [work(parts[0]), *others]
 
 
 def interference_footprint(
@@ -278,12 +286,12 @@ def interference_footprint(
     transmitters share the channel, so each seat's signal competes with the
     sum of the others plus noise. The active seats must be distinct. An
     unknown or excluded seat raises SeatNotFoundError or ExcludedPositionError
-    before n_draws is checked. The only array that grows with n_draws is one
-    (seats, n_draws) float64 SINR buffer; _row_stats takes its statistics in
-    place. Each block of draws becomes path loss, received power and SINR in
-    place, in the draw buffer and one received-power temporary, by the float64
-    operations of the expression in each comment, in its order; the SINR goes
-    into its columns of the buffer through a transposed view.
+    before n_draws is checked. Each block of draws becomes path loss, received
+    power and linear SINR in the draw buffer and one temporary, by the float64
+    operations of each comment's expression in its order, and goes into its
+    columns of the (seats, n_draws) SINR buffer, the only array that grows with
+    n_draws. Then the caller and one pool thread (none for one block) each turn
+    half of the rows into dB and take their _row_stats in place.
     """
     if not active_seats:
         raise ValueError("need at least one active seat")
@@ -296,26 +304,20 @@ def interference_footprint(
     noise_mw = 10.0 ** (noise_floor_dbm(config) / 10.0)
     # closing() ends the draw worker also when the loop raises.
     with closing(_standard_normals(seed, n_draws, len(means))) as blocks:
-        sinr_db = np.empty((len(active_seats), n_draws))
+        sinr = np.empty((len(active_seats), n_draws))
         for start, z in blocks:
             # rx_mw = 10.0 ** (rx_power_dbm(config, means + sigmas * z) / 10.0)
             rx_mw = rx_power_dbm(config, np.add(means, np.multiply(sigmas, z, out=z), out=z))
             np.power(10.0, np.divide(rx_mw, 10.0, out=rx_mw), out=rx_mw)
-            # sinr = 10.0 * np.log10(rx_mw / (noise_mw + rx_mw.sum(1, keepdims=True) - rx_mw))
-            sinr = np.subtract(noise_mw + rx_mw.sum(axis=1, keepdims=True), rx_mw, out=z)
-            np.log10(np.divide(rx_mw, sinr, out=sinr), out=sinr)
-            np.multiply(10.0, sinr, out=sinr_db[:, start:start + len(sinr)].T)
+            # sinr = rx_mw / (noise_mw + rx_mw.sum(1, keepdims=True) - rx_mw)
+            np.subtract(noise_mw + rx_mw.sum(axis=1, keepdims=True), rx_mw, out=z)
+            np.divide(rx_mw, z, out=sinr[:, start:start + len(z)].T)
 
-    means, medians, p05s = _row_stats(sinr_db)
-    return [
-        FootprintSummary(
-            seat_id=seat_id,
-            mean_db=float(means[i]),
-            median_db=float(medians[i]),
-            p05_db=float(p05s[i]),
-        )
-        for i, seat_id in enumerate(active_seats)
-    ]
+    def summarise(rows):  # 10.0 * np.log10(rows) in place, then the statistics
+        return _row_stats(np.multiply(10.0, np.log10(rows, out=rows), out=rows))
+    halves = np.array_split(sinr, min(len(sinr), 1 if n_draws <= _DRAW_CHUNK_ROWS else 2))
+    stats = (np.concatenate(column).tolist() for column in zip(*_on_threads(summarise, halves)))
+    return [FootprintSummary(*row) for row in zip(active_seats, *stats)]
 
 
 def empirical_coverage(
@@ -330,7 +332,7 @@ def empirical_coverage(
     """Fraction of shadowing draws whose SNR clears the threshold, per seat.
 
     A draw of link j clears it when its path loss, means[j] + sigmas[j] * z, is
-    at most max_path_loss_db(config). Block i of the draws comes from its own
+    at most max_path_loss_db(config). Block i of the draws comes from its own SFC64
     generator, seeded by SeedSequence(seed).spawn(i + 1)[i]. A pool thread counts
     blocks 1, 3, ... while the caller counts 0, 2, ..., each in one reused buffer,
     and the integer counts are summed: the result does not depend on the
@@ -343,14 +345,12 @@ def empirical_coverage(
     def count(share: int) -> np.ndarray:
         z, counts = np.empty((starts.step, len(ids))), np.zeros(len(ids), dtype=np.int64)
         for i in range(share, len(starts), _COVERAGE_SHARES):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(i,))))
             z = rng.standard_normal(out=z[:n_draws - starts[i]])
             path_loss = np.add(means, np.multiply(sigmas, z, out=z), out=z)
             counts += np.count_nonzero(path_loss <= pl_max, axis=0)
         return counts
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(_COVERAGE_SHARES) as pool:  # one thread per share submitted
-        counts = sum(pool.map(count, range(1, min(_COVERAGE_SHARES, len(starts)))), count(0))
+    counts = sum(_on_threads(count, range(min(_COVERAGE_SHARES, len(starts)))))
     return dict(zip(ids, (counts / n_draws).tolist()))
 
 

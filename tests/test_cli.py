@@ -647,11 +647,14 @@ class TestSweepAndFootprint:
         assert (code, out, err) == (2, "", "error: seat 8 is listed more than once\n")
 
     def test_single_block_footprint_loads_no_thread_pool(self):
-        # Only a footprint of more than one draw block imports concurrent.futures,
-        # which loads logging; a cold start and a small footprint pay for neither.
+        # Only a footprint or coverage of more than one draw block imports
+        # concurrent.futures, which loads logging; a cold start and a small
+        # Monte-Carlo call pay for neither.
         code = ("import sys, busloss, busloss.cli\n"
                 "busloss.cli.main(['footprint', '--height', 'upper', '--active', '14,2,22',"
                 " '--seed', '3', '--draws', '1000', '--format', 'json'])\n"
+                "busloss.empirical_coverage(busloss.default_layout(), busloss.builtin_registry(),"
+                " busloss.LinkBudgetConfig(), busloss.HeightClass.UPPER, 3, 1000)\n"
                 "print(sorted({'logging', 'concurrent.futures'} & set(sys.modules)), file=sys.stderr)\n")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(Path(busloss.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}

@@ -358,11 +358,26 @@ def one_shot_path_loss(seat_ids, height, seed, n_draws):
     return shadowed_path_loss(seat_ids, height, z)
 
 
+def one_draw_footprint(active, seed, n_draws):
+    """(seat, mean, median, 5th percentile) of each active upper seat's SINR in dB,
+    from the single draw and numpy's own statistics."""
+    rx_mw = 10.0 ** (rx_power_dbm(CONFIG, one_shot_path_loss(active, HeightClass.UPPER, seed,
+                                                             n_draws)) / 10.0)
+    noise_mw = 10.0 ** (noise_floor_dbm(CONFIG) / 10.0)
+    sinr = 10.0 * np.log10(rx_mw / (noise_mw + rx_mw.sum(axis=1, keepdims=True) - rx_mw))
+    return [(seat_id, np.mean(sinr[:, i]), np.median(sinr[:, i]), np.percentile(sinr[:, i], 5.0))
+            for i, seat_id in enumerate(active)]
+
+
+def block_generator(seed, i):
+    """Coverage's generator of block i: SFC64 seeded by SeedSequence(seed, spawn_key=(i,))."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(i,))))
+
+
 def per_block_path_loss(seat_ids, height, seed, n_draws, rows):
-    """The draws coverage counts: block i, of rows draws, from its own generator,
-    seeded by SeedSequence(seed, spawn_key=(i,))."""
-    z = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))).standard_normal(
-        (min(rows, n_draws - start), len(seat_ids))) for i, start in enumerate(range(0, n_draws, rows))]
+    """The draws coverage counts: block i, of rows draws, from block_generator(seed, i)."""
+    z = [block_generator(seed, i).standard_normal((min(rows, n_draws - start), len(seat_ids)))
+         for i, start in enumerate(range(0, n_draws, rows))]
     return shadowed_path_loss(seat_ids, height, np.concatenate(z))
 
 
@@ -397,20 +412,24 @@ class TestDrawBlocks:
         assert all(len(block) <= rows for _, block in blocks)
         assert np.array_equal(np.concatenate([block for _, block in blocks]), z)
 
-        pl = one_shot_path_loss(active, HeightClass.UPPER, seed, n_draws)
-
-        rx_mw = 10.0 ** (rx_power_dbm(CONFIG, pl) / 10.0)
-        noise_mw = 10.0 ** (noise_floor_dbm(CONFIG) / 10.0)
-        sinr = 10.0 * np.log10(rx_mw / (noise_mw + rx_mw.sum(axis=1, keepdims=True) - rx_mw))
-        assert [(s.seat_id, s.mean_db, s.median_db, s.p05_db) for s in footprint] == [
-            (seat_id, np.mean(sinr[:, i]), np.median(sinr[:, i]), np.percentile(sinr[:, i], 5.0))
-            for i, seat_id in enumerate(active)
-        ]
+        assert [(s.seat_id, s.mean_db, s.median_db, s.p05_db) for s in footprint] == \
+            one_draw_footprint(active, seed, n_draws)
 
         seat_ids = seats_in_group(LAYOUT, Region.ALL, height)
         pl = per_block_path_loss(seat_ids, height, seed, n_draws, rows)
         fractions = np.mean(pl <= max_path_loss_db(config), axis=0)
         assert coverage == {seat_id: fractions[i] for i, seat_id in enumerate(seat_ids)}
+
+    @pytest.mark.parametrize("n_seats", [1, 2, 3, 29, 30])
+    @pytest.mark.parametrize("n_draws", [_DRAW_CHUNK_ROWS, _DRAW_CHUNK_ROWS + 1])
+    def test_footprint_halves_match_one_draw(self, n_draws, n_seats):
+        # One block, or one seat, keeps every row on the caller; two blocks of two
+        # or more seats split the rows between the caller and a pool thread.
+        active = UPPER_SEATS[:n_seats]
+        footprint = interference_footprint(LAYOUT, REGISTRY, CONFIG, active, HeightClass.UPPER, 5,
+                                           n_draws)
+        assert [(s.seat_id, s.mean_db, s.median_db, s.p05_db) for s in footprint] == \
+            one_draw_footprint(active, 5, n_draws)
 
     @pytest.mark.parametrize("rows, n_draws", [(3, 1), (3, 4), (3, 10), (3, 17),
                                                (_DRAW_CHUNK_ROWS, 3 * _DRAW_CHUNK_ROWS + 5)])
@@ -429,8 +448,9 @@ class TestDrawBlocks:
 
     def test_block_seed_is_a_spawned_child(self):
         children = np.random.SeedSequence(11).spawn(5)
-        assert [c.generate_state(4).tolist() for c in children] == [
-            np.random.SeedSequence(11, spawn_key=(i,)).generate_state(4).tolist() for i in range(5)]
+        assert [np.random.Generator(np.random.SFC64(c)).standard_normal(4).tolist()
+                for c in children] == [block_generator(11, i).standard_normal(4).tolist()
+                                       for i in range(5)]
 
 
 class TestDrawAhead:
@@ -485,6 +505,23 @@ class TestDrawAhead:
             interference_footprint(LAYOUT, REGISTRY, CONFIG, UPPER_SEATS, HeightClass.UPPER, 3,
                                    3 * _DRAW_CHUNK_ROWS)
         assert raised.traceback and counts == [before + 1] * 2
+        assert threading.active_count() == before
+
+        # The footprint's statistics: the second half's raise, on the caller's thread
+        # or the pool's, after the draw worker has ended.
+        halves = []
+
+        def failing_row_stats(rows):
+            halves.append(threading.active_count())
+            if len(halves) == 2:
+                raise RuntimeError("second half")
+            return _row_stats(rows)
+
+        monkeypatch.setattr("busloss.linkbudget._row_stats", failing_row_stats)
+        with pytest.raises(RuntimeError, match="second half"):
+            interference_footprint(LAYOUT, REGISTRY, CONFIG, UPPER_SEATS, HeightClass.UPPER, 3,
+                                   3 * _DRAW_CHUNK_ROWS)
+        assert halves == [before + 1] * 2
         assert threading.active_count() == before
 
         # Coverage: the second block counted raises, on the caller's thread or the
@@ -593,37 +630,37 @@ class TestMonteCarloBits:
 
     @pytest.mark.parametrize("case, footprint, coverage", [
         ((1, HeightClass.UPPER, False), "69563c803a0f61c77d773a4e0fbfeeb4",
-         "d1742ed994fb20287bf8085b2af7eb98"),
+         "f79ca2cfc64b893d6a7f5f9c9e5cde57"),
         ((1, HeightClass.UPPER, True), "4f614923c9f1523dee66d6abfd2a17fb",
-         "76f4e52a18c39183901e8f9ec477f6ee"),
+         "f79ca2cfc64b893d6a7f5f9c9e5cde57"),
         ((1, HeightClass.LOWER, False), "773c9d1f60c2ff908f6bca5d64340c4d",
-         "8575360032d38a5c80a20b03bac82657"),
+         "58d8f1836471a8e9a92475098e522048"),
         ((1, HeightClass.LOWER, True), "0a500a09cd5aa0a9cc8ea54b99d5b849",
-         "8575360032d38a5c80a20b03bac82657"),
+         "a46056966c69d029025e4250529a372e"),
         ((4095, HeightClass.UPPER, False), "66631ae661153e3ff37462c3c1822b36",
-         "046f545120469ff0ea04d01db6fdbdcc"),
+         "3384ebbfebfffc7b7c7afb9c326f6a8c"),
         ((4095, HeightClass.UPPER, True), "c98e338848ec94dc64d717791972808b",
-         "d5ac30d5bf3d7d716d3d2249dfdcb05f"),
+         "34defdb634fed59c77e3aa2cd20cf521"),
         ((4095, HeightClass.LOWER, False), "057d6c7b9d3d33d13ce018c529b0f337",
-         "1346fbb3c06c5fd88f9719695abc855b"),
+         "f062f93ea0e4c3498c9c6d9ba9f93845"),
         ((4095, HeightClass.LOWER, True), "911665ff4dfb1219ab2362ab11ac67cc",
-         "0128dd30a6d0562f70ebb216b1c0d0ed"),
+         "1c12d439e2c2432f669344580c7fbba5"),
         ((4097, HeightClass.UPPER, False), "618d05b5c098ac88bc6070cd119d1a85",
-         "947df76a3151f4b8c50e06719e594082"),
+         "272eb74373a27c1faf8a91d5a4cf6e9b"),
         ((4097, HeightClass.UPPER, True), "cfba1d3143ff5f285fc5cfc66df82436",
-         "24d872d7f520aa8658d05bea118b8501"),
+         "24d3359cccf63308b6766c8472f7efc8"),
         ((4097, HeightClass.LOWER, False), "ab39513f6e1e93629f525d5a734e29f9",
-         "a61a8896bdaaef278feaff7495b19ffe"),
+         "45fa44c73a072c3c2414774ad9b99691"),
         ((4097, HeightClass.LOWER, True), "ef4f4ee06146bc10405431174bae02ed",
-         "dcf72407aa96151c4e1a7d66105557c4"),
+         "8d60c1c801ae0f7fd31933517221f29a"),
         ((20000, HeightClass.UPPER, False), "b7a345be286a8fd521f1973e12d59054",
-         "fd03088895b64eff9d0d24922d049e19"),
+         "8b3f91cf737ba1ff366b0c972dfd2713"),
         ((20000, HeightClass.UPPER, True), "d3f2eb3e06574af28bb7ae8c05daf873",
-         "9c7a93c81a5d55ae9185a27607556419"),
+         "33b367e196f005f94924191418067c2c"),
         ((20000, HeightClass.LOWER, False), "876dd7a46e4803abad1abd13aa2d57cd",
-         "9418d31b164430615633cce7f710d551"),
+         "b1573304b33beee599ee761da37d6fe4"),
         ((20000, HeightClass.LOWER, True), "1bac6f2a902a2d8bd79b65b4fc10ad6d",
-         "028e4e7bfd9e14df9f1aa8366964eacc"),
+         "a30923a54f8688e81078dbcdb3e1ff59"),
         ((4097, HeightClass.UPPER, False, math.inf), "618d05b5c098ac88bc6070cd119d1a85",
          "f3ef5d26e9686ce386d4221a6759e284"),
         ((4097, HeightClass.UPPER, False, -math.inf), "618d05b5c098ac88bc6070cd119d1a85",
