@@ -8,11 +8,12 @@ Each seed is one pair of `perfbench/run.py --trace 0` runs per workload of
 BENCHMARK.json, parent and change back to back, the first of the two
 alternating from seed to seed, so that the drift of a shared host falls on
 both alike. A `--baseline` checkout, a fixed older anchor, runs on the same
-seeds, after the change when the parent runs first and before it otherwise.
-A run of changes, each slower than its parent by less than the noise, shows
-against the anchor; the change is judged against it as against the parent.
-The first N seeds (`--traced-seeds N`, default 1) also make one `--trace 1`
-pair (or triple) per workload, alternating the same way. Each record keeps the
+seeds; the order of the three rotates from seed to seed (`slot_order`), so
+that over each three seeds every checkout runs once first, once second and
+once last. A run of changes, each slower than its parent by less than the
+noise, shows against the anchor; the change is judged against it as against
+the parent. The first N seeds (`--traced-seeds N`, default 1) also make one
+`--trace 1` pair (or triple) per workload, in the same order. Each record keeps the
 last two stdout lines of a run: the meta line and the result line. The file's
 `summary` holds, per workload and per-layer metric of the traced pairs, each
 side's median, the per-pair ratios change/parent (and change/baseline) and
@@ -42,6 +43,13 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) ->
     meta, result = map(json.loads, out.splitlines()[-2:])
     return {"workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
             "meta": meta["meta"], "result": result}
+
+
+def slot_order(sides: list, i: int) -> list:
+    """The checkouts in the order they run on the i-th seed: sides rotated left by
+    i, so that over any len(sides) consecutive seeds each takes each slot once."""
+    i %= len(sides)
+    return sides[i:] + sides[:i]
 
 
 def references(records: list[dict]) -> list[str]:
@@ -149,12 +157,12 @@ def main() -> None:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     sides = [("parent", args.parent), ("change", args.change)]
-    if args.baseline is not None:  # the change stays between the other two
+    if args.baseline is not None:
         sides.append(("baseline", args.baseline))
     records = [{"checkout": label, **run(path, w, seed, args.seconds, trace)}
                for i, seed in enumerate(args.seeds)
                for trace in ((0, 1) if i < args.traced_seeds else (0,))
-               for w in workloads for label, path in (sides if i % 2 == 0 else sides[::-1])]
+               for w in workloads for label, path in slot_order(sides, i)]
     summary = summarise(records, [m["name"] for m in spec["per_layer"]])
     args.output.write_text(json.dumps({"records": records, "summary": summary}, indent=1) + "\n")
 

@@ -152,8 +152,20 @@ def test_e2e_lines_against_a_baseline():
                     "baseline IQR 4.5, change/baseline 0.388)")
 
 
-def test_baseline_runs_on_the_same_seeds_with_the_change_between(tmp_path, monkeypatch,
-                                                                 capsys):
+def test_each_checkout_takes_each_slot_equally_often():
+    sides = ["parent", "change", "baseline"]
+    orders = [record_bench.slot_order(sides, i) for i in range(6)]
+    assert orders[:3] == [["parent", "change", "baseline"], ["change", "baseline", "parent"],
+                          ["baseline", "parent", "change"]]
+    assert orders[3:] == orders[:3]
+    for slot in range(3):
+        assert sorted(order[slot] for order in orders) == sorted(sides * 2)
+    # Two checkouts alternate, as they always have.
+    assert [record_bench.slot_order(["parent", "change"], i) for i in range(3)] == [
+        ["parent", "change"], ["change", "parent"], ["parent", "change"]]
+
+
+def test_baseline_runs_on_the_same_seeds_in_rotated_slots(tmp_path, monkeypatch, capsys):
     """main with a stub in place of perfbench/run.py: no benchmark is run."""
     for name in "pcb":
         (tmp_path / name).mkdir()
@@ -175,7 +187,7 @@ def test_baseline_runs_on_the_same_seeds_with_the_change_between(tmp_path, monke
         "--seeds", "1", "2", "--seconds", "1", "-o", str(tmp_path / "out.json")])
     record_bench.main()
     assert calls == [("p", 1, 0), ("c", 1, 0), ("b", 1, 0), ("p", 1, 1), ("c", 1, 1),
-                     ("b", 1, 1), ("b", 2, 0), ("c", 2, 0), ("p", 2, 0)]
+                     ("b", 1, 1), ("c", 2, 0), ("b", 2, 0), ("p", 2, 0)]
     out = json.loads((tmp_path / "out.json").read_text())
     assert [r["checkout"] for r in out["records"][:3]] == ["parent", "change", "baseline"]
     assert out["summary"]["w"]["a.s"]["change_over_baseline"] == 0.25
