@@ -118,8 +118,11 @@ class FootprintSummary:
 
 def noise_floor_dbm(config: LinkBudgetConfig) -> float:
     """Thermal noise power over the receive bandwidth plus the noise figure."""
-    return (THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(config.bandwidth_hz)
-            + config.noise_figure_db)
+    return (
+        THERMAL_NOISE_DBM_PER_HZ
+        + 10.0 * math.log10(config.bandwidth_hz)
+        + config.noise_figure_db
+    )
 
 
 def rx_power_dbm(config: LinkBudgetConfig, pl_db):
@@ -260,9 +263,8 @@ def _row_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _on_threads(work, parts) -> list:
-    """[work(part) for part in parts], the first on the caller and each other on a pool
-    thread; concurrent.futures, which loads logging, is imported only for those."""
-    if len(parts) < 2:
+    """[work(part) for part in parts], parts[0] on the caller and the rest on pool threads."""
+    if len(parts) < 2:  # concurrent.futures loads logging, which one part never needs
         return [work(part) for part in parts]
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(len(parts) - 1) as pool:
@@ -290,8 +292,8 @@ def interference_footprint(
     power and linear SINR in the draw buffer and one temporary, by the float64
     operations of each comment's expression in its order, and goes into its
     columns of the (seats, n_draws) SINR buffer, the only array that grows with
-    n_draws. Then the caller and one pool thread (none for one block) each turn
-    half of the rows into dB and take their _row_stats in place.
+    n_draws. Then the caller and one pool thread (none for one block or seat)
+    each turn half of the rows into dB and take their _row_stats in place.
     """
     if not active_seats:
         raise ValueError("need at least one active seat")
@@ -313,11 +315,12 @@ def interference_footprint(
             np.subtract(noise_mw + rx_mw.sum(axis=1, keepdims=True), rx_mw, out=z)
             np.divide(rx_mw, z, out=sinr[:, start:start + len(z)].T)
 
-    def summarise(rows):  # 10.0 * np.log10(rows) in place, then the statistics
-        return _row_stats(np.multiply(10.0, np.log10(rows, out=rows), out=rows))
-    halves = np.array_split(sinr, min(len(sinr), 1 if n_draws <= _DRAW_CHUNK_ROWS else 2))
-    stats = (np.concatenate(column).tolist() for column in zip(*_on_threads(summarise, halves)))
-    return [FootprintSummary(*row) for row in zip(active_seats, *stats)]
+    def summarise(rows):  # (mean, median, p05) of each row of 10.0 * np.log10(rows), in place
+        stats = _row_stats(np.multiply(10.0, np.log10(rows, out=rows), out=rows))
+        return list(zip(*(column.tolist() for column in stats)))
+    halves = np.array_split(sinr, 2) if n_draws > _DRAW_CHUNK_ROWS and len(sinr) > 1 else [sinr]
+    stats = sum(_on_threads(summarise, halves), [])
+    return [FootprintSummary(seat_id, *row) for seat_id, row in zip(active_seats, stats)]
 
 
 def empirical_coverage(
