@@ -1,4 +1,4 @@
-"""Record the benchmark's meta and result lines for two checkouts in one file.
+"""Record the benchmark's meta and result lines for two or three checkouts in one file.
 
     python3 scripts/record_bench.py --parent <checkout> --change <checkout> \
         [--baseline <checkout>] --seeds 101 102 103 --seconds 20 --traced-seeds 3 \

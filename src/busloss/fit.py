@@ -8,7 +8,7 @@ and sigma is the residual standard deviation with n-2 degrees of freedom.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -199,9 +199,8 @@ def synth_seat_samples(model: PathLossModel, layout: BusLayout, height: HeightCl
     """synth_samples's draw at the seat_links(layout, height) distances, each sample
     tagged with its link's seat and group and with height."""
     ids, groups, distances = seat_links(layout, height)
-    d = np.asarray(distances, dtype=float)
-    losses = sample_path_loss(model, d, np.random.default_rng(seed), len(d))
-    return SampleSet(d, losses, seat=ids, region=groups, height=[height] * len(ids))
+    return replace(synth_samples(model, distances, seed), seat=ids, region=groups,
+                   height=[height] * len(ids))
 
 
 def samples_to_csv(samples: SampleSet) -> str:

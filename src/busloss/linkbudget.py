@@ -8,9 +8,8 @@ power combining happens in linear watts; only the reported figures are dB.
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -188,40 +187,27 @@ def _check_draws(n_draws: int, n_links: int) -> None:
         raise ValueError(f"{n_draws} draws x {n_links} links is over {MAX_DRAW_LINKS}")
 
 
-def _standard_normals(seed: int, n_draws: int, n_links: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Standard normal shadowing for n_draws draws of n_links links, as (start,
-    block) pairs of at most _DRAW_CHUNK_ROWS draws by n_links links, where block
-    holds draws start, start + 1, ... in order, all from one Generator(seed).
-
-    A block holds until the caller takes the next one; the caller may overwrite
-    it in place. With more than one block, one worker thread draws the next
-    block into a second buffer while the caller works on the current one. The
-    worker ends before the last block is yielded, or when the generator is
-    closed. _check_draws checks n_draws when this is called, before any buffer.
-    """
-    _check_draws(n_draws, n_links)
-    return _drawn_ahead(np.random.default_rng(seed), n_draws, n_links)
-
-
-def _drawn_ahead(rng: np.random.Generator, n_draws: int, n_links: int):
-    """The blocks of _standard_normals, block i in buffer i % 2. The caller
-    draws block 0; a worker draws block i + 1 while the caller holds block i."""
+def _each_block(seed: int, n_draws: int, n_links: int, reduce) -> None:
+    """reduce(start, block) for each block of at most _DRAW_CHUNK_ROWS draws by n_links
+    links of standard normals, all from one Generator(seed) in order: block holds draws
+    start, start + 1, ... in buffer i % 2 for block i, reduce's to overwrite until it
+    returns. With more than one block, a worker thread draws block i + 1 into the other
+    buffer while reduce holds block i; the worker has ended when this returns or raises."""
+    rng = np.random.default_rng(seed)
     starts = range(0, n_draws, min(_DRAW_CHUNK_ROWS, n_draws))
     buffers = np.empty((min(len(starts), 2), starts.step, n_links))
     blocks = ((start, buffers[i % 2][:n_draws - start]) for i, start in enumerate(starts))
-    current = next(blocks)
-    rng.standard_normal(out=current[1])
-    if len(starts) > 1:
-        # Imported here: it loads logging, which single-block calls never need.
+    start, z = next(blocks)
+    rng.standard_normal(out=z)
+    if len(starts) > 1:  # concurrent.futures loads logging, which one block never needs
         from concurrent.futures import ThreadPoolExecutor
-        # Leaving the with block, on the last block or on close(), joins the worker.
         with ThreadPoolExecutor(1) as pool:
             for following in blocks:
                 drawn = pool.submit(rng.standard_normal, out=following[1])
-                yield current
+                reduce(start, z)
                 drawn.result()
-                current = following
-    yield current
+                start, z = following
+    reduce(start, z)
 
 
 def _row_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -304,16 +290,17 @@ def interference_footprint(
         seen.add(seat_id)
     _, _, means, sigmas = _links(layout, models, height, active_seats, use_all_model)
     noise_mw = 10.0 ** (noise_floor_dbm(config) / 10.0)
-    # closing() ends the draw worker also when the loop raises.
-    with closing(_standard_normals(seed, n_draws, len(means))) as blocks:
-        sinr = np.empty((len(active_seats), n_draws))
-        for start, z in blocks:
-            # rx_mw = 10.0 ** (rx_power_dbm(config, means + sigmas * z) / 10.0)
-            rx_mw = rx_power_dbm(config, np.add(means, np.multiply(sigmas, z, out=z), out=z))
-            np.power(10.0, np.divide(rx_mw, 10.0, out=rx_mw), out=rx_mw)
-            # sinr = rx_mw / (noise_mw + rx_mw.sum(1, keepdims=True) - rx_mw)
-            np.subtract(noise_mw + rx_mw.sum(axis=1, keepdims=True), rx_mw, out=z)
-            np.divide(rx_mw, z, out=sinr[:, start:start + len(z)].T)
+    _check_draws(n_draws, len(means))
+    sinr = np.empty((len(active_seats), n_draws))
+
+    def reduce(start, z):
+        # rx_mw = 10.0 ** (rx_power_dbm(config, means + sigmas * z) / 10.0)
+        rx_mw = rx_power_dbm(config, np.add(means, np.multiply(sigmas, z, out=z), out=z))
+        np.power(10.0, np.divide(rx_mw, 10.0, out=rx_mw), out=rx_mw)
+        # sinr = rx_mw / (noise_mw + rx_mw.sum(1, keepdims=True) - rx_mw)
+        np.subtract(noise_mw + rx_mw.sum(axis=1, keepdims=True), rx_mw, out=z)
+        np.divide(rx_mw, z, out=sinr[:, start:start + len(z)].T)
+    _each_block(seed, n_draws, len(means), reduce)
 
     def summarise(rows):  # (mean, median, p05) of each row of 10.0 * np.log10(rows), in place
         stats = _row_stats(np.multiply(10.0, np.log10(rows, out=rows), out=rows))

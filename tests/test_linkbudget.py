@@ -27,8 +27,8 @@ from busloss.linkbudget import (
     MAX_DRAW_LINKS,
     MAX_LINK_SNR_DB,
     LinkBudgetConfig,
+    _each_block,
     _row_stats,
-    _standard_normals,
     empirical_coverage,
     interference_footprint,
     link_snr,
@@ -399,9 +399,10 @@ class TestDrawBlocks:
     def test_blocks_match_one_draw(self, rows, n_draws, seed, active, height, tx_power_dbm):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("busloss.linkbudget._DRAW_CHUNK_ROWS", rows)
-            # A block holds only until the next is taken, so keep a copy.
-            blocks = [(start, block.copy()) for start, block in
-                      _standard_normals(seed, n_draws, len(active))]
+            # A block holds only until reduce returns, so keep a copy.
+            blocks = []
+            _each_block(seed, n_draws, len(active),
+                        lambda start, block: blocks.append((start, block.copy())))
             footprint = interference_footprint(
                 LAYOUT, REGISTRY, CONFIG, active, HeightClass.UPPER, seed, n_draws)
             config = LinkBudgetConfig(tx_power_dbm=tx_power_dbm)
@@ -454,27 +455,32 @@ class TestDrawBlocks:
 
 
 class TestDrawAhead:
-    """The worker that draws block i + 1 while the caller holds block i, with blocks
+    """The worker that draws block i + 1 while reduce holds block i, with blocks
     of 1-5 rows as in TestDrawBlocks, and the thread it runs on."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(rows=st.integers(1, 5), n_draws=st.integers(1, 30), n_links=st.integers(1, 4),
            seed=st.integers(0, 2**32 - 1))
     def test_held_block_survives_the_worker(self, rows, n_draws, n_links, seed):
-        z = np.random.default_rng(seed).standard_normal((n_draws, n_links))
+        z, starts = np.random.default_rng(seed).standard_normal((n_draws, n_links)), []
+
+        def reduce(start, block):
+            starts.append(start)
+            assert np.array_equal(block, z[start:start + len(block)])
+            block[:] = np.nan  # overwritten in place, as the footprint does
+            time.sleep(1e-3)  # the worker draws the next block meanwhile
+            assert np.isnan(block).all()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("busloss.linkbudget._DRAW_CHUNK_ROWS", rows)
-            for start, block in _standard_normals(seed, n_draws, n_links):
-                assert np.array_equal(block, z[start:start + len(block)])
-                block[:] = np.nan  # overwritten in place, as the footprint does
-                time.sleep(1e-3)  # the worker draws the next block meanwhile
-                assert np.isnan(block).all()
+            _each_block(seed, n_draws, n_links, reduce)
+        assert starts == list(range(0, n_draws, rows))
 
     def test_worker_lives_while_blocks_remain(self):
         before = threading.active_count()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("busloss.linkbudget._DRAW_CHUNK_ROWS", 2)
-            counts = [threading.active_count() for _ in _standard_normals(1, 7, 3)]
+            counts = []
+            _each_block(1, 7, 3, lambda start, block: counts.append(threading.active_count()))
         assert counts == [before + 1] * 3 + [before]
 
     def test_no_thread_outlives_a_call(self):
@@ -483,11 +489,20 @@ class TestDrawAhead:
         assert threading.active_count() == before
         empirical_coverage(LAYOUT, REGISTRY, CONFIG, HeightClass.LOWER, 3, n_draws)
         assert threading.active_count() == before
-        blocks = _standard_normals(3, n_draws, 2)
-        next(blocks)
-        assert threading.active_count() == before + 1
-        blocks.close()
-        assert threading.active_count() == before
+        # reduce raises on the first block, with the worker drawing the second, and
+        # on the last block, after the worker has ended.
+        for raising, expected in ((0, [before + 1]),
+                                  (3 * _DRAW_CHUNK_ROWS, [before + 1] * 3 + [before])):
+            counts = []
+
+            def reduce(start, block):
+                counts.append(threading.active_count())
+                if start == raising:
+                    raise RuntimeError(f"block at {start}")
+            with pytest.raises(RuntimeError, match=f"block at {raising}$"):
+                _each_block(3, n_draws, 2, reduce)
+            assert counts == expected
+            assert threading.active_count() == before
 
     def test_no_thread_outlives_a_raise(self, monkeypatch):
         counts = []
@@ -500,7 +515,8 @@ class TestDrawAhead:
 
         monkeypatch.setattr("busloss.linkbudget.rx_power_dbm", failing_rx_power_dbm)
         before = threading.active_count()
-        # The traceback holds the footprint's frame, and with it the block generator.
+        # The traceback holds the footprint's frame and the walk's, whose with block has
+        # joined the worker.
         with pytest.raises(RuntimeError, match="second block") as raised:
             interference_footprint(LAYOUT, REGISTRY, CONFIG, UPPER_SEATS, HeightClass.UPPER, 3,
                                    3 * _DRAW_CHUNK_ROWS)
@@ -750,6 +766,16 @@ class TestMonteCarloMemory:
         # The two draw buffers and a block's SINR temporaries are about six
         # block-sized arrays; the statistics reorder the buffer in place.
         assert peak < len(UPPER_SEATS) * n_draws * 8 + 8 * self.BLOCK_BYTES
+
+    def test_walk_peak_independent_of_draws(self):
+        # Only the two buffers hold blocks: nothing kept per block, such as a list
+        # of the block views, may grow with n_draws.
+        small, large = (
+            traced_peak(lambda: _each_block(3, n_blocks * _DRAW_CHUNK_ROWS, 1,
+                                            lambda start, block: None))
+            for n_blocks in (10, 1_000)
+        )
+        assert abs(large - small) < _DRAW_CHUNK_ROWS * 8
 
 
 class TestConfigValidation:
